@@ -21,7 +21,6 @@ from .model import (
     SchemaError,
     TableCpd,
     Variable,
-    factor_index,
     parse_network,
     serialize_network,
 )
@@ -30,14 +29,9 @@ from .factorize import (
     ExpansionResult,
     SizeReport,
     Strategy,
-    cumulative_density,
     encoding_entries,
     expand,
     expand_cpd,
-    expand_multiplicative,
-    expand_parent_divorcing,
-    expand_temporal,
-    expand_trivial,
     oracle_cpd,
 )
 from .infer import (
@@ -49,7 +43,7 @@ from .infer import (
     ZeroPosteriorError,
     align,
     brute_force_joint,
-    choose_next,
+    eliminate,
     marginalize,
     multiply,
     query_posterior,

@@ -263,14 +263,15 @@ def run_benchmark(
     net: Network,
     strategies: Sequence[Strategy],
     heuristics: Sequence[Heuristic],
-    queries="all-marginals",
+    queries: Sequence[Query] | None = None,
     *,
     guard_mults: int | None = None,
     guard_entries: int = DEFAULT_GUARD_ENTRIES,
     expanded: Mapping[Strategy, ExpandedNetwork] | None = None,
     atol: float = AGREEMENT_ATOL,
 ) -> BenchReport:
-    """Run every (query, strategy, heuristic) cell.
+    """Run every (query, strategy, heuristic) cell.  ``queries`` defaults to
+    the marginal of every network variable.
 
     Cells that trip a guard are recorded as aborted and excluded from the
     agreement check; any disagreement among completed cells beyond ``atol``
@@ -279,7 +280,7 @@ def run_benchmark(
     """
     if guard_mults is None:
         guard_mults = default_guard_mults()
-    if queries == "all-marginals":
+    if queries is None:
         query_list = [Query((v.id,), {}) for v in net.variables]
     else:
         query_list = list(queries)

@@ -9,7 +9,7 @@ import sys
 import time
 from pathlib import Path
 
-from .bench import GeneratorSpec, default_guard_mults, generate, run_benchmark
+from .bench import AgreementError, GeneratorSpec, default_guard_mults, generate, run_benchmark
 from .factorize import Strategy, expand
 from .infer import Heuristic, InferenceError, Query, query_posterior
 from .model import GuardExceededError, Network, NetworkError, parse_network, serialize_network
@@ -138,7 +138,6 @@ def cmd_bench(args) -> int:
         net,
         _parse_strategies(args.strategies),
         _parse_heuristics(args.heuristics),
-        args.queries,
         guard_mults=args.guard_mults,
     )
     doc = report.to_json(include_timings=True)
@@ -198,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--strategies", default="all")
     p.add_argument("--heuristics", default="all")
-    p.add_argument("--queries", default="all-marginals")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--guard-mults", type=int, default=default_guard_mults())
@@ -216,6 +214,15 @@ def main(argv=None) -> int:
         return 1
     except CliError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
+        return 1
+    except AgreementError as exc:
+        doc = {
+            "error": "agreement-error",
+            "message": str(exc),
+            "query": exc.query,
+            "deviation": exc.deviation,
+        }
+        print(json.dumps(doc), file=sys.stderr)
         return 1
     except (InferenceError, GuardExceededError, ValueError) as exc:
         code = "guard-exceeded" if isinstance(exc, GuardExceededError) else "inference-error"

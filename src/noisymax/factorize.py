@@ -1,13 +1,18 @@
 """Expansion of noisy-max nodes into plain factors.
 
-Four strategies are provided:
+Four strategies are provided.  The first three give each contribution its
+own variable and join those into the effect through a tree of deterministic
+max tables; one builder makes all three and only the tree's shape differs:
 
-* ``trivial``              -- one dense table deterministically encoding the
-  n-ary max over per-cause contribution variables.
+* ``trivial``              -- one flat node: a single dense table encoding the
+  n-ary max over the contribution variables.
 * ``parent-divorcing``     -- a balanced binary tree of binary-max tables.
 * ``temporal``             -- a left-deep chain of binary-max tables (the
   leading identity node is elided by feeding the first contribution
   directly into the first combine).
+
+The fourth does without the max tree:
+
 * ``multiplicative``       -- for an effect with m values, m-1 two-state
   auxiliary variables, one per prefix of the effect domain.  State ``V``
   of prefix variable i carries, per cause, the cumulative probability that
@@ -25,11 +30,10 @@ of per-cause contributions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -111,168 +115,86 @@ def oracle_cpd(cpd: NoisyMaxCpd, variables: Mapping[int, Variable]) -> Factor:
     return Factor(cpd.causes + (cpd.effect,), out)
 
 
-def _single_link_result(cpd: NoisyMaxCpd, variables: Mapping[int, Variable]) -> ExpansionResult:
-    # A lone contribution IS the conditional table: max of one value.
-    (cause, rows), = _contribution_rows(cpd)
-    factor = Factor((cause, cpd.effect), rows)
-    return ExpansionResult((factor,), (), 0, factor.size)
-
-
-def _next_id(cpd: NoisyMaxCpd, variables: Mapping[int, Variable], id_base: int | None) -> int:
-    if id_base is not None:
-        return id_base
-    return max(variables) + 1
-
-
-def _contribution_variables(
-    cpd: NoisyMaxCpd,
-    variables: Mapping[int, Variable],
-    contribs: list[tuple[int | None, np.ndarray]],
-    fresh: "_IdAllocator",
-) -> tuple[list[int], list[Variable], list[Factor]]:
-    """One auxiliary variable per contribution, carrying the effect domain,
-    plus the factor tying it to its cause (a bare prior for the leak)."""
-    effect = variables[cpd.effect]
-    aux_ids, aux_vars, factors = [], [], []
-    for position, (cause, rows) in enumerate(contribs):
-        if cause is None:
-            name = f"{effect.name}__leak"
-        else:
-            name = f"{effect.name}__in{position}"
-        var = Variable(fresh(), name, effect.domain)
-        aux_ids.append(var.id)
-        aux_vars.append(var)
-        if cause is None:
-            factors.append(Factor((var.id,), rows[0]))
-        else:
-            factors.append(Factor((cause, var.id), rows))
-    return aux_ids, aux_vars, factors
-
-
-class _IdAllocator:
-    def __init__(self, start: int):
-        self.next = start
-
-    def __call__(self) -> int:
-        vid = self.next
-        self.next += 1
-        return vid
-
-
-def _binary_max_values(m: int) -> np.ndarray:
-    mx = np.maximum.outer(np.arange(m), np.arange(m))
+def _max_table(m: int, arity: int) -> np.ndarray:
+    """Deterministic table of ``out = max(in_1, ..., in_arity)`` over an
+    m-valued domain, with the output on the last axis."""
+    if m ** (arity + 1) > TABLE_ENTRY_GUARD:
+        raise GuardExceededError(f"max table would hold {m}^{arity + 1} entries")
+    # Outer maxima, not np.indices: the index grid holds arity times more
+    # integers than the table has input cells.
+    mx = reduce(np.maximum.outer, [np.arange(m)] * arity)
     return (mx[..., None] == np.arange(m)).astype(float)
 
 
-def expand_trivial(
-    cpd: NoisyMaxCpd, variables: Mapping[int, Variable], id_base: int | None = None
-) -> ExpansionResult:
-    """One deterministic table over all contribution variables plus the
-    effect; its size is m**(k+1) for k contributions."""
-    contribs = _contribution_rows(cpd)
-    if len(contribs) == 1:
-        return _single_link_result(cpd, variables)
-    m = variables[cpd.effect].size
-    k = len(contribs)
-    if m ** (k + 1) > TABLE_ENTRY_GUARD:
-        raise GuardExceededError(f"trivial max table would hold {m}^{k + 1} entries")
-    fresh = _IdAllocator(_next_id(cpd, variables, id_base))
-    aux_ids, aux_vars, factors = _contribution_variables(cpd, variables, contribs, fresh)
-
-    grids = np.indices((m,) * k)
-    mx = np.maximum.reduce(grids)
-    max_table = (mx[..., None] == np.arange(m)).astype(float)
-    factors.append(Factor(tuple(aux_ids) + (cpd.effect,), max_table))
-
-    encoding = m ** (k + 1)
-    return ExpansionResult(
-        tuple(factors), tuple(aux_vars), encoding, sum(f.size for f in factors)
-    )
+def _flat(ids: list[int]) -> list[list[int]]:
+    return [[i] for i in ids]
 
 
-def expand_parent_divorcing(
-    cpd: NoisyMaxCpd, variables: Mapping[int, Variable], id_base: int | None = None
-) -> ExpansionResult:
-    """Balanced binary tree of k-1 binary-max tables over the contribution
-    variables (declared cause order, ties split left-heavy); the root
-    outputs the effect."""
-    contribs = _contribution_rows(cpd)
-    if len(contribs) == 1:
-        return _single_link_result(cpd, variables)
-    effect = variables[cpd.effect]
+def _balanced(ids: list[int]) -> list[list[int]]:
+    mid = (len(ids) + 1) // 2
+    return [ids[:mid], ids[mid:]]
+
+
+def _chain(ids: list[int]) -> list[list[int]]:
+    return [ids[:-1], ids[-1:]]
+
+
+# How each max-based strategy splits a run of inputs among one node's children.
+_Split = Callable[[list[int]], list[list[int]]]
+_SPLITS: dict[Strategy, _Split] = {
+    Strategy.TRIVIAL: _flat,
+    Strategy.PARENT_DIVORCING: _balanced,
+    Strategy.TEMPORAL: _chain,
+}
+
+
+def _max_tree(
+    effect: Variable,
+    contribs: list[tuple[int | None, np.ndarray]],
+    fresh: Iterator[int],
+    split: _Split,
+) -> tuple[list[Factor], list[Variable], int]:
+    """One contribution variable per contribution (carrying the effect
+    domain, tied to its cause or, for the leak, a bare prior), joined into
+    the effect by a tree of max tables whose shape ``split`` decides.
+    Intermediate variables are allocated depth-first, in pre-order, after
+    the contribution variables; each node's table follows its subtrees'.
+    Returns the factors, the auxiliary variables and the max-table entry
+    count."""
     m = effect.size
-    fresh = _IdAllocator(_next_id(cpd, variables, id_base))
-    aux_ids, aux_vars, factors = _contribution_variables(cpd, variables, contribs, fresh)
-    bmax = _binary_max_values(m)
-
-    def combine(ids: list[int], out: int):
-        mid = (len(ids) + 1) // 2
-        left = _subtree(ids[:mid])
-        right = _subtree(ids[mid:])
-        factors.append(Factor((left, right, out), bmax))
-
-    def _subtree(ids: list[int]) -> int:
-        if len(ids) == 1:
-            return ids[0]
-        vid = fresh()
-        node = Variable(vid, f"{effect.name}__max{vid}", effect.domain)
-        aux_vars.append(node)
-        combine(ids, node.id)
-        return node.id
-
-    combine(aux_ids, cpd.effect)
-    encoding = (len(contribs) - 1) * m**3
-    return ExpansionResult(
-        tuple(factors), tuple(aux_vars), encoding, sum(f.size for f in factors)
-    )
-
-
-def expand_temporal(
-    cpd: NoisyMaxCpd, variables: Mapping[int, Variable], id_base: int | None = None
-) -> ExpansionResult:
-    """Left-deep chain of k-1 binary-max tables: each link folds the next
-    contribution into a running max, and the last combine outputs the
-    effect."""
-    contribs = _contribution_rows(cpd)
-    if len(contribs) == 1:
-        return _single_link_result(cpd, variables)
-    effect = variables[cpd.effect]
-    m = effect.size
-    fresh = _IdAllocator(_next_id(cpd, variables, id_base))
-    aux_ids, aux_vars, factors = _contribution_variables(cpd, variables, contribs, fresh)
-    bmax = _binary_max_values(m)
-
-    running = aux_ids[0]
-    for position in range(1, len(aux_ids)):
-        if position == len(aux_ids) - 1:
-            out = cpd.effect
+    factors, aux_vars = [], []
+    for position, (cause, rows) in enumerate(contribs):
+        if cause is None:
+            var = Variable(next(fresh), f"{effect.name}__leak", effect.domain)
+            factors.append(Factor((var.id,), rows[0]))
         else:
-            vid = fresh()
-            node = Variable(vid, f"{effect.name}__run{vid}", effect.domain)
-            aux_vars.append(node)
-            out = node.id
-        factors.append(Factor((running, aux_ids[position], out), bmax))
-        running = out
+            var = Variable(next(fresh), f"{effect.name}__in{position}", effect.domain)
+            factors.append(Factor((cause, var.id), rows))
+        aux_vars.append(var)
 
-    encoding = (len(contribs) - 1) * m**3
-    return ExpansionResult(
-        tuple(factors), tuple(aux_vars), encoding, sum(f.size for f in factors)
-    )
-
-
-def cumulative_density(link, prefix_len: int, state: str, cause_state: int) -> float:
-    """Entry of the pairwise generalized table tying a prefix variable to one
-    cause: 1 in state ``I``; in state ``V``, the total link mass the cause
-    places on the first ``prefix_len`` effect values."""
-    rows = link.rows
-    m = rows.shape[1]
-    if not 1 <= prefix_len <= m - 1:
-        raise ValueError(f"prefix length {prefix_len} out of range 1..{m - 1}")
-    if state == I_STATE:
-        return 1.0
-    if state == V_STATE:
-        return float(rows[cause_state, :prefix_len].sum())
-    raise ValueError(f"state must be {V_STATE!r} or {I_STATE!r}, got {state!r}")
+    # An explicit stack of (output, remaining parts, inputs so far) instead
+    # of recursion: a temporal chain is as deep as the node has causes.
+    tables: dict[int, np.ndarray] = {}
+    encoding = 0
+    stack = [(effect.id, iter(split([v.id for v in aux_vars])), [])]
+    while stack:
+        out, parts, inputs = stack[-1]
+        part = next(parts, None)
+        if part is None:
+            stack.pop()
+            arity = len(inputs)
+            if arity not in tables:
+                tables[arity] = _max_table(m, arity)
+            factors.append(Factor(tuple(inputs) + (out,), tables[arity]))
+            encoding += tables[arity].size
+        elif len(part) == 1:
+            inputs.append(part[0])
+        else:
+            vid = next(fresh)
+            aux_vars.append(Variable(vid, f"{effect.name}__max{vid}", effect.domain))
+            inputs.append(vid)
+            stack.append((vid, iter(split(part)), []))
+    return factors, aux_vars, encoding
 
 
 def _selector_values(m: int) -> np.ndarray:
@@ -294,22 +216,19 @@ def _selector_values(m: int) -> np.ndarray:
     return values
 
 
-def expand_multiplicative(
-    cpd: NoisyMaxCpd, variables: Mapping[int, Variable], id_base: int | None = None
-) -> ExpansionResult:
+def _multiplicative(
+    effect: Variable,
+    contribs: list[tuple[int | None, np.ndarray]],
+    fresh: Iterator[int],
+) -> tuple[list[Factor], list[Variable], int]:
     """m-1 two-state prefix variables, one pairwise cumulative table per
-    (prefix, cause), and one signed effect selector.  No table over more
-    than one cause is ever produced."""
-    contribs = _contribution_rows(cpd)
-    if len(contribs) == 1:
-        return _single_link_result(cpd, variables)
-    effect = variables[cpd.effect]
+    (prefix, contribution), and one signed effect selector.  No table over
+    more than one cause is ever produced.  Returns the factors, the prefix
+    variables and the selector's entry count."""
     m = effect.size
-    fresh = _IdAllocator(_next_id(cpd, variables, id_base))
-
     prefix_ids, aux_vars, factors = [], [], []
     for i in range(1, m):
-        var = Variable(fresh(), f"{effect.name}__cum{i}", PREFIX_DOMAIN)
+        var = Variable(next(fresh), f"{effect.name}__cum{i}", PREFIX_DOMAIN)
         prefix_ids.append(var.id)
         aux_vars.append(var)
         for cause, rows in contribs:
@@ -319,19 +238,9 @@ def expand_multiplicative(
             else:
                 factors.append(Factor((var.id, cause), np.stack([v_row, np.ones_like(v_row)])))
 
-    factors.append(Factor(tuple(prefix_ids) + (cpd.effect,), _selector_values(m)))
-    encoding = m * 2 ** (m - 1)
-    return ExpansionResult(
-        tuple(factors), tuple(aux_vars), encoding, sum(f.size for f in factors)
-    )
-
-
-_EXPANDERS: dict[Strategy, Callable] = {
-    Strategy.TRIVIAL: expand_trivial,
-    Strategy.PARENT_DIVORCING: expand_parent_divorcing,
-    Strategy.TEMPORAL: expand_temporal,
-    Strategy.MULTIPLICATIVE: expand_multiplicative,
-}
+    selector = Factor(tuple(prefix_ids) + (effect.id,), _selector_values(m))
+    factors.append(selector)
+    return factors, aux_vars, selector.size
 
 
 def expand_cpd(
@@ -340,33 +249,37 @@ def expand_cpd(
     strategy: Strategy,
     id_base: int | None = None,
 ) -> ExpansionResult:
-    return _EXPANDERS[strategy](cpd, variables, id_base)
+    """Expand one noisy-max node under ``strategy``.  Auxiliary ids start at
+    ``id_base`` (default: one past the largest id in ``variables``).  A lone
+    contribution is its own conditional table under every strategy."""
+    contribs = _contribution_rows(cpd)
+    if len(contribs) == 1:
+        (cause, rows), = contribs
+        factor = Factor((cause, cpd.effect), rows)
+        return ExpansionResult((factor,), (), 0, factor.size)
+    effect = variables[cpd.effect]
+    fresh = itertools.count(max(variables) + 1 if id_base is None else id_base)
+    if strategy is Strategy.MULTIPLICATIVE:
+        factors, aux_vars, encoding = _multiplicative(effect, contribs, fresh)
+    else:
+        factors, aux_vars, encoding = _max_tree(effect, contribs, fresh, _SPLITS[strategy])
+    return ExpansionResult(
+        tuple(factors), tuple(aux_vars), encoding, sum(f.size for f in factors)
+    )
 
 
 def encoding_entries(strategy: Strategy, n_contributions: int, m: int) -> int:
-    """Entry count of the machinery tables a strategy would emit, computed by
-    walking the construction without materializing any array."""
+    """Entry count of the machinery tables a strategy would emit for
+    ``n_contributions`` contributions over an m-valued effect."""
     if n_contributions == 1:
         return 0
     if strategy is Strategy.TRIVIAL:
-        return math.prod([m] * n_contributions) * m
+        return m ** (n_contributions + 1)
     if strategy is Strategy.MULTIPLICATIVE:
-        return math.prod([2] * (m - 1)) * m
-    # Both binary decompositions emit one m**3 table per combine; count the
-    # combines by walking the shape they build.
-    if strategy is Strategy.PARENT_DIVORCING:
-        combines = 0
-        stack = [n_contributions]
-        while stack:
-            width = stack.pop()
-            if width == 1:
-                continue
-            combines += 1
-            mid = (width + 1) // 2
-            stack.extend((mid, width - mid))
-        return combines * m**3
-    if strategy is Strategy.TEMPORAL:
-        return sum(m**3 for _ in range(1, n_contributions))
+        return m * 2 ** (m - 1)
+    # Every binary tree over n leaves has n-1 combines of m**3 entries.
+    if strategy in (Strategy.PARENT_DIVORCING, Strategy.TEMPORAL):
+        return (n_contributions - 1) * m**3
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -152,35 +152,123 @@ def _metric_key(
     v: int,
     factor_ids: Iterable[int],
     live: Mapping[int, Factor],
-    sizes: Mapping[int, int],
     heuristic: Heuristic,
 ) -> tuple[int, int]:
-    union: set[int] = set()
-    for fid in factor_ids:
-        union.update(live[fid].scope)
+    """Cost of eliminating ``v``, measured on the product of the factors
+    containing it; domain sizes come from the factors' shapes."""
     if heuristic is Heuristic.MIN_SIZE:
+        union: set[int] = set()
+        for fid in factor_ids:
+            union.update(live[fid].scope)
         return (len(union), v)
-    return (math.prod(sizes[u] for u in union) if union else 1, v)
-
-
-def choose_next(factors: Sequence[Factor], eliminable: Iterable[int], heuristic: Heuristic) -> int:
-    """Next variable to eliminate from a live factor set.  The cost of a
-    candidate is measured on the product of all factors containing it."""
-    candidates = sorted(set(eliminable))
-    if not candidates:
-        raise ValueError("no eliminable variables")
-    live = dict(enumerate(factors))
     sizes: dict[int, int] = {}
+    for fid in factor_ids:
+        sizes.update(zip(live[fid].scope, live[fid].values.shape))
+    return (math.prod(sizes.values()), v)
+
+
+def eliminate(
+    factors: Iterable[Factor],
+    keep: Sequence[int],
+    heuristic: Heuristic = Heuristic.MIN_SIZE,
+    *,
+    order: Sequence[int] | None = None,
+    stats: EliminationStats | None = None,
+    max_multiplications: int | None = None,
+    max_table_entries: int | None = None,
+) -> Factor:
+    """Sum every variable outside ``keep`` out of the product of
+    ``factors`` and return the result aligned to ``keep``.
+
+    Unless an explicit ``order`` is given, the heuristic picks each next
+    variable, measured on the product of all live factors containing it.
+    Only the variables whose factors changed are re-measured.  An explicit
+    order must cover every eliminable variable; other entries are skipped.
+    Products are taken in factor insertion order (given factors first, then
+    each summed-out table), and both guards are checked from the scope sizes
+    before a product is allocated.
+    """
+    if stats is None:
+        stats = EliminationStats()
+    live: dict[int, Factor] = {}
+    var_index: dict[int, set[int]] = {}
+    next_fid = 0
+
+    def insert(f: Factor):
+        nonlocal next_fid
+        live[next_fid] = f
+        for u in f.scope:
+            var_index.setdefault(u, set()).add(next_fid)
+        next_fid += 1
+
+    def product(fids: Sequence[int]) -> Factor:
+        result = live[fids[0]]
+        for fid in fids[1:]:
+            f = live[fid]
+            entries = result.values.size
+            for u, s in zip(f.scope, f.values.shape):
+                if u not in result.scope:
+                    entries *= s
+            if max_table_entries is not None and entries > max_table_entries:
+                raise GuardExceededError(
+                    f"intermediate table of {entries} entries exceeds the guard"
+                )
+            if (
+                max_multiplications is not None
+                and stats.multiplications + entries > max_multiplications
+            ):
+                raise GuardExceededError(
+                    f"{stats.multiplications + entries} multiplications exceed the guard"
+                )
+            result = multiply(result, f, stats)
+        return result
+
     for f in factors:
-        for u, s in zip(f.scope, f.values.shape):
-            sizes[u] = s
-    best = None
-    for v in candidates:
-        fids = [fid for fid, f in live.items() if v in f.scope]
-        key = _metric_key(v, fids, live, sizes, heuristic)
-        if best is None or key < best:
-            best = key
-    return best[1]
+        insert(f)
+    eliminable = set(var_index) - set(keep)
+
+    if order is not None:
+        given = [v for v in order if v in eliminable]
+        missing = eliminable - set(given)
+        if missing:
+            raise ValueError(f"explicit order misses eliminable variables {sorted(missing)}")
+        sequence = iter(given)
+
+    metric: dict[int, tuple[int, int]] = {}
+    dirty = set(eliminable)
+
+    def next_variable() -> int:
+        if order is not None:
+            return next(sequence)
+        for v in dirty:
+            metric[v] = _metric_key(v, var_index[v], live, heuristic)
+        dirty.clear()
+        return min(metric.values())[1]
+
+    while eliminable:
+        v = next_variable()
+        eliminable.discard(v)
+        metric.pop(v, None)
+        fids = sorted(var_index[v])
+        joint = product(fids)
+        for fid in fids:
+            for u in live.pop(fid).scope:
+                var_index[u].discard(fid)
+        summed = marginalize(joint, v)
+        if summed.size > stats.peak_table_entries:
+            stats.peak_table_entries = summed.size
+        insert(summed)
+        for u in summed.scope:
+            if u in eliminable:
+                dirty.add(u)
+        stats.ordering.append(v)
+
+    result = product(sorted(live))
+    if result.size > stats.peak_table_entries:
+        stats.peak_table_entries = result.size
+    if set(result.scope) != set(keep):
+        raise InferenceError(f"elimination left scope {result.scope}, expected {tuple(keep)}")
+    return align(result, keep)
 
 
 def _prune_barren(net: ExpandedNetwork, query: Query) -> set[int]:
@@ -233,9 +321,7 @@ def query_posterior(
     Evidence is applied by restricting every factor mentioning it (the
     effect selector included; no special casing).  Unless an explicit
     ``order`` is supplied, barren original nodes are pruned first and the
-    heuristic picks the elimination order.  An explicit order must cover
-    every eliminable variable; entries that have nothing to eliminate are
-    skipped, so orders over all variables are accepted.
+    heuristic picks the elimination order (see :func:`eliminate`).
 
     The final table is clamped (entries within round-off of zero) and
     normalized; a zero normalization constant raises
@@ -250,93 +336,24 @@ def query_posterior(
         kept = set(net.original_ids)
     stats.relevant_vars = len(kept)
 
-    sizes = {vid: var.size for vid, var in net.variables.items()}
-    live: dict[int, Factor] = {}
-    var_index: dict[int, set[int]] = {}
-    next_fid = 0
-
-    def insert(f: Factor):
-        nonlocal next_fid
-        live[next_fid] = f
-        for u in f.scope:
-            var_index.setdefault(u, set()).add(next_fid)
-        next_fid += 1
-
+    factors = []
     for child in sorted(kept):
         for idx in net.groups[child].factor_indices:
             f = net.factors[idx]
             for v, state in query.evidence.items():
                 if v in f.scope:
                     f = restrict(f, v, state)
-            insert(f)
+            factors.append(f)
 
-    targets = set(query.targets)
-    eliminable = set(var_index) - targets
-
-    if order is not None:
-        given = [v for v in order if v in eliminable]
-        missing = eliminable - set(given)
-        if missing:
-            raise ValueError(f"explicit order misses eliminable variables {sorted(missing)}")
-        sequence = iter(given)
-
-    metric: dict[int, tuple[int, int]] = {}
-    dirty = set(eliminable)
-
-    def next_variable() -> int:
-        if order is not None:
-            return next(sequence)
-        for v in dirty:
-            metric[v] = _metric_key(v, var_index.get(v, ()), live, sizes, heuristic)
-        dirty.clear()
-        return min(metric.values())[1]
-
-    def check_guards(table_entries: int):
-        if max_table_entries is not None and table_entries > max_table_entries:
-            raise GuardExceededError(
-                f"intermediate table of {table_entries} entries exceeds the guard"
-            )
-        if max_multiplications is not None and stats.multiplications > max_multiplications:
-            raise GuardExceededError(
-                f"{stats.multiplications} multiplications exceed the guard"
-            )
-
-    while eliminable:
-        v = next_variable()
-        eliminable.discard(v)
-        metric.pop(v, None)
-        fids = sorted(var_index.get(v, ()))
-        if not fids:
-            continue
-        product = live[fids[0]]
-        for fid in fids[1:]:
-            product = multiply(product, live[fid], stats)
-            check_guards(product.size)
-        for fid in fids:
-            f = live.pop(fid)
-            for u in f.scope:
-                var_index[u].discard(fid)
-        summed = marginalize(product, v)
-        if summed.size > stats.peak_table_entries:
-            stats.peak_table_entries = summed.size
-        insert(summed)
-        for u in summed.scope:
-            if u in eliminable:
-                dirty.add(u)
-        stats.ordering.append(v)
-
-    remaining = [live[fid] for fid in sorted(live)]
-    result = remaining[0]
-    for f in remaining[1:]:
-        result = multiply(result, f, stats)
-        check_guards(result.size)
-    if result.size > stats.peak_table_entries:
-        stats.peak_table_entries = result.size
-    if set(result.scope) != targets:
-        raise InferenceError(
-            f"elimination left scope {result.scope}, expected targets {query.targets}"
-        )
-    result = align(result, query.targets)
+    result = eliminate(
+        factors,
+        query.targets,
+        heuristic,
+        order=order,
+        stats=stats,
+        max_multiplications=max_multiplications,
+        max_table_entries=max_table_entries,
+    )
 
     values = result.values
     stats.min_unnormalized = float(values.min())

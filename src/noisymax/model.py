@@ -4,7 +4,7 @@ structural validation, and the on-disk JSON format.
 Tables are dense numpy arrays.  A factor over scope ``(v1, ..., vk)`` stores
 one entry per joint assignment in row-major order with the LAST scope
 variable varying fastest, so ``values.ravel()`` is the canonical flat layout
-and :func:`factor_index` maps assignments to flat offsets.  Entries of a
+and ``numpy.ravel_multi_index`` maps assignments to flat offsets.  Entries of a
 factor may be negative or exceed one; only conditional tables supplied in
 network files are required to normalize.
 
@@ -393,21 +393,6 @@ class Network:
         if not isinstance(other, Network):
             return NotImplemented
         return self.variables == other.variables and self.nodes == other.nodes
-
-
-def factor_index(scope_sizes: Sequence[int], assignment: Sequence[int]) -> int:
-    """Flat offset of ``assignment`` in the canonical row-major layout
-    (last variable fastest).  Bijective over the assignment space."""
-    if len(assignment) != len(scope_sizes):
-        raise ValueError(
-            f"assignment length {len(assignment)} != scope length {len(scope_sizes)}"
-        )
-    offset = 0
-    for size, state in zip(scope_sizes, assignment):
-        if not 0 <= state < size:
-            raise IndexError(f"state {state} out of range for domain size {size}")
-        offset = offset * size + state
-    return offset
 
 
 def _require(condition: bool, message: str):

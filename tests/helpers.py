@@ -8,17 +8,13 @@ from noisymax import (
     ExpansionResult,
     Factor,
     GeneratorSpec,
-    Heuristic,
     LinkTable,
     Network,
     NoisyMaxCpd,
     TableCpd,
     Variable,
-    align,
-    choose_next,
+    eliminate,
     generate,
-    marginalize,
-    multiply,
 )
 
 
@@ -92,24 +88,9 @@ def random_noisymax(
 
 
 def recover_cpd(result: ExpansionResult, cpd: NoisyMaxCpd) -> Factor:
-    """Multiply an expansion's factors and sum out its auxiliary variables,
-    greedily eliminating the cheapest one first.  Returns the conditional
-    table aligned to ``causes + (effect,)``."""
-    factors = list(result.factors)
-    auxiliary = {v.id for v in result.auxiliary_variables}
-    while auxiliary:
-        v = choose_next(factors, auxiliary, Heuristic.MIN_SIZE)
-        touching = [f for f in factors if v in f.scope]
-        factors = [f for f in factors if v not in f.scope]
-        product = touching[0]
-        for f in touching[1:]:
-            product = multiply(product, f)
-        factors.append(marginalize(product, v))
-        auxiliary.discard(v)
-    product = factors[0]
-    for f in factors[1:]:
-        product = multiply(product, f)
-    return align(product, cpd.causes + (cpd.effect,))
+    """Multiply an expansion's factors and sum out its auxiliary variables.
+    Returns the conditional table aligned to ``causes + (effect,)``."""
+    return eliminate(result.factors, cpd.causes + (cpd.effect,))
 
 
 def random_network(seed: int, max_domain: int = 4) -> Network:

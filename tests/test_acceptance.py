@@ -22,7 +22,6 @@ from noisymax import (
     encoding_entries,
     expand,
     expand_cpd,
-    expand_multiplicative,
     oracle_cpd,
     query_posterior,
     run_benchmark,
@@ -70,7 +69,7 @@ def test_criterion_2_marginalization_identity():
         for trial in range(100):
             n = int(rng.integers(1, 9))
             cpd, variables = random_noisymax(rng, n, 2)
-            result = expand_multiplicative(cpd, variables)
+            result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
             product = result.factors[0]
             for f in result.factors[1:]:
                 product = multiply(product, f)

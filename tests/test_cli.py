@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from noisymax import cli
+from noisymax import AgreementError, cli
 from noisymax.model import parse_network, serialize_network
 from helpers import noisy_or_network
 
@@ -216,3 +216,15 @@ class TestBench:
     def test_usage_error_exits_nonzero(self, noisy_or_file):
         with pytest.raises(SystemExit):
             cli.main(["infer", noisy_or_file])  # --target is required
+
+    def test_agreement_error_is_json(self, capsys, monkeypatch, noisy_or_file):
+        def disagree(*args, **kwargs):
+            raise AgreementError("E", 0.25)
+
+        monkeypatch.setattr(cli, "run_benchmark", disagree)
+        code, out, err = run(capsys, "bench", noisy_or_file)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "agreement-error"
+        assert payload["query"] == "E"
+        assert payload["deviation"] == 0.25

@@ -10,14 +10,9 @@ from noisymax import (
     NoisyMaxCpd,
     Strategy,
     Variable,
-    cumulative_density,
     encoding_entries,
     expand,
     expand_cpd,
-    expand_multiplicative,
-    expand_parent_divorcing,
-    expand_temporal,
-    expand_trivial,
     oracle_cpd,
 )
 from helpers import noisy_or_network, random_noisymax, recover_cpd, three_value_cpd
@@ -74,7 +69,7 @@ class TestOracle:
 class TestTrivial:
     def test_max_table_size_two_causes(self):
         net = noisy_or_network()
-        result = expand_trivial(net.nodes[2], net.variable_map)
+        result = expand_cpd(net.nodes[2], net.variable_map, Strategy.TRIVIAL)
         assert result.factors[-1].size == 8
         assert result.encoding_entry_count == 8
 
@@ -82,13 +77,13 @@ class TestTrivial:
         cpd, variables = three_value_cpd()
         rows = [[1, 0, 0], [0.5, 0.3, 0.2]]
         cpd4, variables4 = binary_causes(4, [rows] * 4, m=3)
-        result = expand_trivial(cpd4, variables4)
+        result = expand_cpd(cpd4, variables4, Strategy.TRIVIAL)
         assert result.encoding_entry_count == 243
 
     def test_single_cause_degenerates_to_link(self):
         rows = [[1, 0], [0.3, 0.7]]
         cpd, variables = binary_causes(1, [rows])
-        result = expand_trivial(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.TRIVIAL)
         assert len(result.factors) == 1
         assert result.auxiliary_variables == ()
         assert np.array_equal(result.factors[0].values, rows)
@@ -97,19 +92,19 @@ class TestTrivial:
         rows = [[1, 0, 0, 0, 0], [0.2] * 5]
         cpd, variables = binary_causes(11, [rows] * 11, m=5)
         with pytest.raises(GuardExceededError):
-            expand_trivial(cpd, variables)
+            expand_cpd(cpd, variables, Strategy.TRIVIAL)
 
 
 class TestParentDivorcing:
     def test_encoding_count(self):
         rows = [[1, 0, 0], [0.5, 0.3, 0.2]]
         cpd, variables = binary_causes(4, [rows] * 4, m=3)
-        result = expand_parent_divorcing(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.PARENT_DIVORCING)
         assert result.encoding_entry_count == 81
 
     def test_two_causes_single_combine(self):
         net = noisy_or_network()
-        result = expand_parent_divorcing(net.nodes[2], net.variable_map)
+        result = expand_cpd(net.nodes[2], net.variable_map, Strategy.PARENT_DIVORCING)
         combines = [f for f in result.factors if len(f.scope) == 3]
         assert len(combines) == 1
         assert combines[0].size == 8
@@ -118,7 +113,7 @@ class TestParentDivorcing:
         # max(L, M) = M, never H.
         rows = [[1, 0, 0], [0.5, 0.3, 0.2]]
         cpd, variables = binary_causes(2, [rows] * 2, m=3)
-        result = expand_parent_divorcing(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.PARENT_DIVORCING)
         combine = result.factors[-1]
         L, M, H = 0, 1, 2
         assert combine.values[L, M, M] == 1.0
@@ -127,7 +122,7 @@ class TestParentDivorcing:
     def test_tree_is_balanced_left_heavy(self):
         rows = [[1, 0], [0.3, 0.7]]
         cpd, variables = binary_causes(5, [rows] * 5)
-        result = expand_parent_divorcing(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.PARENT_DIVORCING)
         combines = [f for f in result.factors if len(f.scope) == 3]
         assert len(combines) == 4
         root = combines[-1]
@@ -145,21 +140,21 @@ class TestTemporal:
     def test_encoding_matches_parent_divorcing(self):
         rows = [[1, 0, 0], [0.5, 0.3, 0.2]]
         cpd, variables = binary_causes(4, [rows] * 4, m=3)
-        pd = expand_parent_divorcing(cpd, variables)
-        tt = expand_temporal(cpd, variables)
+        pd = expand_cpd(cpd, variables, Strategy.PARENT_DIVORCING)
+        tt = expand_cpd(cpd, variables, Strategy.TEMPORAL)
         assert tt.encoding_entry_count == pd.encoding_entry_count == 81
 
     def test_two_causes_identical_to_parent_divorcing(self):
         net = noisy_or_network()
-        pd = expand_parent_divorcing(net.nodes[2], net.variable_map)
-        tt = expand_temporal(net.nodes[2], net.variable_map)
+        pd = expand_cpd(net.nodes[2], net.variable_map, Strategy.PARENT_DIVORCING)
+        tt = expand_cpd(net.nodes[2], net.variable_map, Strategy.TEMPORAL)
         assert list(pd.factors) == list(tt.factors)
         assert pd.auxiliary_variables == tt.auxiliary_variables
 
     def test_chain_recovers_oracle(self):
         net = noisy_or_network()
         cpd = net.nodes[2]
-        result = expand_temporal(cpd, net.variable_map)
+        result = expand_cpd(cpd, net.variable_map, Strategy.TEMPORAL)
         recovered = recover_cpd(result, cpd)
         expected = oracle_cpd(cpd, net.variable_map)
         np.testing.assert_allclose(recovered.values, expected.values, atol=1e-12)
@@ -167,43 +162,73 @@ class TestTemporal:
     def test_chain_shape(self):
         rows = [[1, 0], [0.3, 0.7]]
         cpd, variables = binary_causes(4, [rows] * 4)
-        result = expand_temporal(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.TEMPORAL)
         combines = [f for f in result.factors if len(f.scope) == 3]
         assert len(combines) == 3
         # Left-deep: each combine feeds the next one's first slot.
         assert combines[1].scope[0] == combines[0].scope[2]
         assert combines[2].scope[0] == combines[1].scope[2]
 
+    def test_chain_deeper_than_the_recursion_limit(self):
+        rows = [[1, 0], [0.3, 0.7]]
+        cpd, variables = binary_causes(1500, [rows] * 1500)
+        result = expand_cpd(cpd, variables, Strategy.TEMPORAL)
+        combines = result.factors[1500:]
+        assert len(combines) == 1499
+        assert combines[-1].scope[2] == cpd.effect
+        for lower, upper in zip(combines, combines[1:]):
+            assert upper.scope[0] == lower.scope[2]
+
 
 class TestCumulativeDensity:
-    LINK = LinkTable(0, [[1, 0], [0.2, 0.8]])
-    LINK3 = LinkTable(0, [[1, 0, 0], [0.5, 0.3, 0.2]])
+    """Entries of the multiplicative expansion's pairwise tables: 1 in state
+    ``I``; in state ``V``, the link mass a cause state places on the first i
+    effect values, for prefix i."""
+
+    LINK = [[1, 0], [0.2, 0.8]]
+    LINK3 = [[1, 0, 0], [0.5, 0.3, 0.2]]
+
+    def expand_two_causes(self, rows):
+        """The expansion of two causes sharing ``rows``, and the first
+        cause's pairwise table for each prefix, shortest first."""
+        cpd, variables = binary_causes(2, [rows] * 2, m=len(rows[0]))
+        result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
+        return result, result.factors[:-1:2]
 
     def test_identity_state_is_one(self):
-        assert cumulative_density(self.LINK, 1, "I", 0) == 1.0
-        assert cumulative_density(self.LINK3, 2, "I", 1) == 1.0
+        for rows in (self.LINK, self.LINK3):
+            _, tables = self.expand_two_causes(rows)
+            for table in tables:
+                np.testing.assert_array_equal(table.values[1], 1.0)
 
     def test_noisy_or_prefix(self):
-        assert cumulative_density(self.LINK, 1, "V", 1) == pytest.approx(0.2, abs=1e-15)
+        _, tables = self.expand_two_causes(self.LINK)
+        assert tables[0].values[0, 1] == pytest.approx(0.2, abs=1e-15)
 
     def test_three_value_prefix(self):
-        assert cumulative_density(self.LINK3, 2, "V", 1) == pytest.approx(0.8, abs=1e-15)
+        _, tables = self.expand_two_causes(self.LINK3)
+        assert tables[1].values[0, 1] == pytest.approx(0.8, abs=1e-15)
 
     def test_prefix_out_of_range(self):
-        with pytest.raises(ValueError):
-            cumulative_density(self.LINK, 2, "V", 0)
-        with pytest.raises(ValueError):
-            cumulative_density(self.LINK, 0, "V", 0)
+        # Prefix lengths 0 and m would give constant tables; none is emitted.
+        for rows in (self.LINK, self.LINK3):
+            result, tables = self.expand_two_causes(rows)
+            m = len(rows[0])
+            names = [v.name for v in result.auxiliary_variables]
+            assert names == [f"e__cum{i}" for i in range(1, m)]
+            assert len(tables) == m - 1
 
     def test_unknown_state(self):
-        with pytest.raises(ValueError):
-            cumulative_density(self.LINK, 1, "X", 0)
+        # Prefix variables have exactly the two states V and I.
+        result, _ = self.expand_two_causes(self.LINK3)
+        for var in result.auxiliary_variables:
+            assert var.domain == ("V", "I")
 
 
 class TestMultiplicative:
     def test_noisy_or_selector(self):
         net = noisy_or_network()
-        result = expand_multiplicative(net.nodes[2], net.variable_map)
+        result = expand_cpd(net.nodes[2], net.variable_map, Strategy.MULTIPLICATIVE)
         selector = result.factors[-1]
         assert selector.size == 4
         # Axis order: prefix variable (V, I), then effect (F, T).
@@ -211,7 +236,7 @@ class TestMultiplicative:
 
     def test_three_value_selector_matches_worked_table(self):
         cpd, variables = three_value_cpd()
-        result = expand_multiplicative(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
         selector = result.factors[-1]
         assert selector.size == 12
         expected = np.zeros((2, 2, 3))
@@ -230,20 +255,20 @@ class TestMultiplicative:
             rows[0, 0] = 1.0
             rows[1] = 1.0 / m
             cpd, variables = binary_causes(2, [rows] * 2, m=m)
-            selector = expand_multiplicative(cpd, variables).factors[-1]
+            selector = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE).factors[-1]
             assert set(np.unique(selector.values)) <= {-1.0, 0.0, 1.0}
             assert selector.values.sum() == 1.0
 
     def test_five_value_encoding(self):
         rows = np.full((2, 5), 0.2)
         cpd, variables = binary_causes(3, [rows] * 3, m=5)
-        result = expand_multiplicative(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
         assert result.encoding_entry_count == 80
 
     def test_pairwise_factors_stay_pairwise(self):
         rng = np.random.default_rng(5)
         cpd, variables = random_noisymax(rng, 5, 4, with_leak=True)
-        result = expand_multiplicative(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
         causes = set(cpd.causes)
         for factor in result.factors[:-1]:
             assert len(factor.scope) <= 2
@@ -251,14 +276,14 @@ class TestMultiplicative:
 
     def test_pairwise_values_match_cumulative_density(self):
         cpd, variables = three_value_cpd()
-        result = expand_multiplicative(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
         # Factors come prefix-major: (cum1, C1), (cum1, C2), (cum2, C1), ...
         for p, prefix_len in ((0, 1), (2, 2)):
             for j, link in enumerate(cpd.links):
                 factor = result.factors[p + j]
                 for c in range(2):
-                    assert factor.values[0, c] == cumulative_density(link, prefix_len, "V", c)
-                    assert factor.values[1, c] == cumulative_density(link, prefix_len, "I", c)
+                    assert factor.values[0, c] == link.rows[c, :prefix_len].sum()
+                    assert factor.values[1, c] == 1.0
 
 
 class TestReduction:
@@ -282,7 +307,7 @@ class TestReduction:
         for _ in range(25):
             n = int(rng.integers(2, 7))
             cpd, variables = random_noisymax(rng, n, 2)
-            result = expand_multiplicative(cpd, variables)
+            result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
             expected = self.expected_noisy_or_factors(cpd)
             assert len(result.factors) == len(expected)
             for got, want in zip(result.factors, expected):
@@ -293,7 +318,7 @@ class TestReduction:
 class TestSubspaceDifference:
     def test_middle_slice_is_cumulative_difference(self):
         cpd, variables = three_value_cpd()
-        result = expand_multiplicative(cpd, variables)
+        result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
         recovered = recover_cpd(result, cpd)
         cum = [link.rows for link in cpd.links]
         for c1 in range(2):

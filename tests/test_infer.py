@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisymax import (
+    EliminationStats,
     Factor,
     GuardExceededError,
     Heuristic,
@@ -15,9 +16,10 @@ from noisymax import (
     ZeroPosteriorError,
     align,
     brute_force_joint,
-    choose_next,
+    eliminate,
     expand,
-    expand_multiplicative,
+    expand_cpd,
+    infer,
     marginalize,
     multiply,
     query_posterior,
@@ -80,7 +82,7 @@ class TestMultiply:
         for _ in range(20):
             n = int(rng.integers(1, 7))
             cpd, variables = random_noisymax(rng, n, 2)
-            result = expand_multiplicative(cpd, variables)
+            result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
             product = result.factors[0]
             for f in result.factors[1:]:
                 product = multiply(product, f)
@@ -147,6 +149,8 @@ class TestRestrict:
 
 
 class TestChooseNext:
+    """The first variable :func:`eliminate` picks under each heuristic."""
+
     def chain_factors(self):
         return [
             Factor((0,), [0.5, 0.5]),
@@ -154,15 +158,20 @@ class TestChooseNext:
             Factor((1, 2), np.full((2, 2), 0.5)),
         ]
 
+    def first_eliminated(self, factors, keep, heuristic):
+        stats = EliminationStats()
+        eliminate(factors, keep, heuristic, stats=stats)
+        return stats.ordering[0]
+
     def test_chain_prefers_leaf(self):
         # Eliminating B forms a product over {A,B,C} (8 entries, 3 vars);
         # eliminating C only over {B,C} (4 entries, 2 vars).
         for heuristic in ALL_HEURISTICS:
-            assert choose_next(self.chain_factors(), {1, 2}, heuristic) == 2
+            assert self.first_eliminated(self.chain_factors(), (0,), heuristic) == 2
 
     def test_single_candidate(self):
         for heuristic in ALL_HEURISTICS:
-            assert choose_next(self.chain_factors(), {1}, heuristic) == 1
+            assert self.first_eliminated(self.chain_factors(), (0, 2), heuristic) == 1
 
     def test_tie_breaks_to_smallest_id(self):
         factors = [
@@ -170,11 +179,7 @@ class TestChooseNext:
             Factor((1, 2), np.ones((2, 2))),
         ]
         for heuristic in ALL_HEURISTICS:
-            assert choose_next(factors, {0, 1}, heuristic) == 0
-
-    def test_empty_candidates(self):
-        with pytest.raises(ValueError):
-            choose_next(self.chain_factors(), set(), Heuristic.MIN_SIZE)
+            assert self.first_eliminated(factors, (2,), heuristic) == 0
 
 
 class TestQueryPosterior:
@@ -311,6 +316,36 @@ class TestQueryPosterior:
         expanded, _ = expand(net, Strategy.TRIVIAL)
         with pytest.raises(GuardExceededError):
             query_posterior(expanded, Query((target,), {}), max_multiplications=1)
+
+    def test_guards_fire_before_allocation(self, monkeypatch):
+        # The recorder sees a product only if eliminate calls multiply
+        # through the module global, as outside tracers rely on.
+        allocated = []
+        real_multiply = infer.multiply
+
+        def recording(a, b, stats=None):
+            out = real_multiply(a, b, stats)
+            allocated.append(out.size)
+            return out
+
+        monkeypatch.setattr(infer, "multiply", recording)
+        net = random_network(12)
+        expanded, _ = expand(net, Strategy.TRIVIAL)
+        query = Query((len(net.variables) - 1,), {})
+        query_posterior(expanded, query)
+        assert allocated
+        entry_guard = max(allocated) - 1
+        mult_guard = sum(allocated) - 1
+
+        allocated.clear()
+        with pytest.raises(GuardExceededError):
+            query_posterior(expanded, query, max_table_entries=entry_guard)
+        assert all(size <= entry_guard for size in allocated)
+
+        allocated.clear()
+        with pytest.raises(GuardExceededError):
+            query_posterior(expanded, query, max_multiplications=mult_guard)
+        assert sum(allocated) <= mult_guard
 
 
 class TestBruteForce:
