@@ -36,7 +36,6 @@ from .factorize import (
 )
 from .infer import (
     EliminationStats,
-    Heuristic,
     InferenceError,
     NegativeMassError,
     Query,

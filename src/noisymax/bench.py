@@ -2,7 +2,7 @@
 
 Generation is driven by a splitmix64 stream so that a given seed produces a
 byte-identical serialized network on every platform.  The runner evaluates a
-grid of (query, strategy, heuristic) cells, enforces cross-strategy
+grid of (query, strategy) cells, enforces cross-strategy
 agreement, and emits decade-bucketed cost histograms.
 """
 
@@ -12,11 +12,11 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .factorize import ExpandedNetwork, Strategy, expand
-from .infer import EliminationStats, Heuristic, Query, query_posterior
+from .infer import Query, query_posterior
 from .model import (
     Factor,
     GuardExceededError,
@@ -161,12 +161,12 @@ def generate(spec: GeneratorSpec) -> Network:
 class BenchCell:
     query: str
     strategy: str
-    heuristic: str
     multiplications: int
     peak_table_entries: int
     relevant_vars: int
     status: str
     time_ms: float
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,11 @@ class BenchReport:
                 {
                     "query": c.query,
                     "strategy": c.strategy,
-                    "heuristic": c.heuristic,
                     "multiplications": c.multiplications,
                     "peak_table_entries": c.peak_table_entries,
                     "relevant_vars": c.relevant_vars,
                     "status": c.status,
+                    "reason": c.reason,
                 }
                 for c in self.cells
             ],
@@ -208,13 +208,12 @@ class BenchReport:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(["query", "strategy", "heuristic", "mults", "peak", "time_ms", "status"])
+        writer.writerow(["query", "strategy", "mults", "peak", "time_ms", "status"])
         for c in self.cells:
             writer.writerow(
                 [
                     c.query,
                     c.strategy,
-                    c.heuristic,
                     c.multiplications,
                     c.peak_table_entries,
                     f"{c.time_ms:.3f}",
@@ -262,21 +261,21 @@ def default_guard_mults() -> int:
 def run_benchmark(
     net: Network,
     strategies: Sequence[Strategy],
-    heuristics: Sequence[Heuristic],
     queries: Sequence[Query] | None = None,
     *,
     guard_mults: int | None = None,
     guard_entries: int = DEFAULT_GUARD_ENTRIES,
     expanded: Mapping[Strategy, ExpandedNetwork] | None = None,
-    atol: float = AGREEMENT_ATOL,
 ) -> BenchReport:
-    """Run every (query, strategy, heuristic) cell.  ``queries`` defaults to
-    the marginal of every network variable.
+    """Run every (query, strategy) cell.  ``queries`` defaults to the
+    marginal of every network variable.
 
-    Cells that trip a guard are recorded as aborted and excluded from the
-    agreement check; any disagreement among completed cells beyond ``atol``
-    raises :class:`AgreementError`.  ``expanded`` lets callers inject
-    pre-expanded networks (fault injection, reuse across runs).
+    Cells that trip a guard are recorded as aborted, with the partial stats
+    and the guard's message as ``reason``, and are excluded from the totals'
+    multiplications and from the agreement check; any disagreement among
+    completed cells beyond ``AGREEMENT_ATOL`` raises :class:`AgreementError`.
+    ``expanded`` lets callers inject pre-expanded networks (fault injection,
+    reuse across runs).
     """
     if guard_mults is None:
         guard_mults = default_guard_mults()
@@ -293,68 +292,63 @@ def run_benchmark(
             nets[strategy], _ = expand(net, strategy)
 
     cells: list[BenchCell] = []
-    counts: dict[tuple[str, str], dict[str, int]] = {
-        (s.value, h.value): {} for s in strategies for h in heuristics
-    }
-    totals: dict[tuple[str, str], dict[str, int]] = {
-        (s.value, h.value): {"multiplications": 0, "completed": 0, "aborted": 0}
-        for s in strategies
-        for h in heuristics
+    counts: dict[str, dict[str, int]] = {s.value: {} for s in strategies}
+    totals: dict[str, dict[str, int]] = {
+        s.value: {"multiplications": 0, "completed": 0, "aborted": 0} for s in strategies
     }
 
     for query in query_list:
         label = _query_label(net, query)
-        answers: list[tuple[str, Factor]] = []
+        answers: list[Factor] = []
         for strategy in strategies:
-            for heuristic in heuristics:
-                start = time.perf_counter()
-                try:
-                    posterior, stats = query_posterior(
-                        nets[strategy],
-                        query,
-                        heuristic,
-                        max_multiplications=guard_mults,
-                        max_table_entries=guard_entries,
-                    )
-                    status = "ok"
-                except GuardExceededError:
-                    posterior, stats = None, EliminationStats()
-                    status = "aborted"
-                elapsed = (time.perf_counter() - start) * 1000.0
-                key = (strategy.value, heuristic.value)
-                bucket = _decade_bucket(stats.multiplications) if status == "ok" else "aborted"
-                counts[key][bucket] = counts[key].get(bucket, 0) + 1
-                totals[key]["multiplications"] += stats.multiplications
-                totals[key]["completed" if status == "ok" else "aborted"] += 1
-                cells.append(
-                    BenchCell(
-                        label,
-                        strategy.value,
-                        heuristic.value,
-                        stats.multiplications,
-                        stats.peak_table_entries,
-                        stats.relevant_vars,
-                        status,
-                        elapsed,
-                    )
+            start = time.perf_counter()
+            try:
+                posterior, stats = query_posterior(
+                    nets[strategy],
+                    query,
+                    max_multiplications=guard_mults,
+                    max_table_entries=guard_entries,
                 )
-                if status == "ok":
-                    answers.append((f"{strategy.value}/{heuristic.value}", posterior))
+                status, reason = "ok", None
+            except GuardExceededError as exc:
+                stats, status, reason = exc.stats, "aborted", str(exc)
+            elapsed = (time.perf_counter() - start) * 1000.0
+            key = strategy.value
+            if status == "ok":
+                answers.append(posterior)
+                bucket = _decade_bucket(stats.multiplications)
+                totals[key]["multiplications"] += stats.multiplications
+                totals[key]["completed"] += 1
+            else:
+                bucket = "aborted"
+                totals[key]["aborted"] += 1
+            counts[key][bucket] = counts[key].get(bucket, 0) + 1
+            cells.append(
+                BenchCell(
+                    label,
+                    key,
+                    stats.multiplications,
+                    stats.peak_table_entries,
+                    stats.relevant_vars,
+                    status,
+                    elapsed,
+                    reason,
+                )
+            )
         if len(answers) > 1:
             worst = 0.0
             for i in range(len(answers)):
                 for j in range(i + 1, len(answers)):
-                    dev = float(abs(answers[i][1].values - answers[j][1].values).max())
+                    dev = float(abs(answers[i].values - answers[j].values).max())
                     worst = max(worst, dev)
-            if worst > atol:
+            if worst > AGREEMENT_ATOL:
                 raise AgreementError(label, worst)
 
     def _bucket_sort_key(bucket: str):
         return (1, 0) if bucket == "aborted" else (0, int(bucket.split("-")[0]))
 
     histograms = {
-        f"{s}/{h}": {b: n for b, n in sorted(c.items(), key=lambda kv: _bucket_sort_key(kv[0]))}
-        for (s, h), c in counts.items()
+        s: {b: n for b, n in sorted(c.items(), key=lambda kv: _bucket_sort_key(kv[0]))}
+        for s, c in counts.items()
     }
-    totals_json = {f"{s}/{h}": t for (s, h), t in totals.items()}
-    return BenchReport(tuple(cells), histograms, totals_json, len(query_list))
+    return BenchReport(tuple(cells), histograms, totals, len(query_list))

@@ -9,13 +9,19 @@ import sys
 import time
 from pathlib import Path
 
-from .bench import AgreementError, GeneratorSpec, default_guard_mults, generate, run_benchmark
+from .bench import (
+    DEFAULT_GUARD_ENTRIES,
+    AgreementError,
+    GeneratorSpec,
+    default_guard_mults,
+    generate,
+    run_benchmark,
+)
 from .factorize import Strategy, expand
-from .infer import Heuristic, InferenceError, Query, query_posterior
+from .infer import InferenceError, Query, query_posterior
 from .model import GuardExceededError, Network, NetworkError, parse_network, serialize_network
 
 STRATEGY_NAMES = [s.value for s in Strategy]
-HEURISTIC_NAMES = [h.value for h in Heuristic]
 
 
 class CliError(Exception):
@@ -39,13 +45,10 @@ def _emit(doc: dict):
 def _parse_strategies(raw: str) -> list[Strategy]:
     if raw == "all":
         return list(Strategy)
-    return [Strategy(name.strip()) for name in raw.split(",") if name.strip()]
-
-
-def _parse_heuristics(raw: str) -> list[Heuristic]:
-    if raw == "all":
-        return list(Heuristic)
-    return [Heuristic(name.strip()) for name in raw.split(",") if name.strip()]
+    try:
+        return [Strategy(name.strip()) for name in raw.split(",") if name.strip()]
+    except ValueError as exc:
+        raise CliError("unknown-strategy", str(exc)) from None
 
 
 def cmd_validate(args) -> int:
@@ -86,10 +89,14 @@ def cmd_infer(args) -> int:
         evidence[var.id] = var.domain.index(state_name)
 
     strategy = Strategy(args.strategy)
-    heuristic = Heuristic(args.heuristic)
     expanded, _ = expand(net, strategy)
     start = time.perf_counter()
-    posterior, stats = query_posterior(expanded, Query(targets, evidence), heuristic)
+    posterior, stats = query_posterior(
+        expanded,
+        Query(targets, evidence),
+        max_multiplications=default_guard_mults(),
+        max_table_entries=DEFAULT_GUARD_ENTRIES,
+    )
     wall_time_ms = (time.perf_counter() - start) * 1000.0
 
     if len(targets) == 1:
@@ -105,7 +112,6 @@ def cmd_infer(args) -> int:
         doc["stats"] = {
             "query": ",".join(net.var(t).name for t in targets),
             "strategy": strategy.value,
-            "heuristic": heuristic.value,
             "multiplications": stats.multiplications,
             "peak_table_entries": stats.peak_table_entries,
             "relevant_vars": stats.relevant_vars,
@@ -116,15 +122,18 @@ def cmd_infer(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = GeneratorSpec(
-        kind=args.kind,
-        seed=args.seed,
-        diseases=args.diseases,
-        findings=args.findings,
-        max_parents=args.max_parents,
-        effect_domain_size=args.domain_size,
-        link_density=args.density,
-    )
+    try:
+        spec = GeneratorSpec(
+            kind=args.kind,
+            seed=args.seed,
+            diseases=args.diseases,
+            findings=args.findings,
+            max_parents=args.max_parents,
+            effect_domain_size=args.domain_size,
+            link_density=args.density,
+        )
+    except ValueError as exc:
+        raise CliError("invalid-spec", str(exc)) from None
     net = generate(spec)
     text = serialize_network(net)
     Path(args.out).write_text(text)
@@ -134,12 +143,7 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     net = _load(args.file)
-    report = run_benchmark(
-        net,
-        _parse_strategies(args.strategies),
-        _parse_heuristics(args.heuristics),
-        guard_mults=args.guard_mults,
-    )
+    report = run_benchmark(net, _parse_strategies(args.strategies), guard_mults=args.guard_mults)
     doc = report.to_json(include_timings=True)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
@@ -178,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", action="append", required=True, help="target variable name")
     p.add_argument("--evidence", action="append", metavar="VAR=state")
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default=Strategy.MULTIPLICATIVE.value)
-    p.add_argument("--heuristic", choices=HEURISTIC_NAMES, default=Heuristic.MIN_SIZE.value)
     p.add_argument("--stats", action="store_true")
     p.set_defaults(handler=cmd_infer)
 
@@ -196,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the benchmark grid on a network file")
     p.add_argument("file")
     p.add_argument("--strategies", default="all")
-    p.add_argument("--heuristics", default="all")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--guard-mults", type=int, default=default_guard_mults())

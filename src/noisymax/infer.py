@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,19 +39,6 @@ class ZeroPosteriorError(InferenceError):
 class NegativeMassError(InferenceError):
     """The final unnormalized table is more negative than cancellation
     round-off can explain."""
-
-
-class Heuristic(Enum):
-    """Greedy elimination-ordering rules.
-
-    ``MIN_SIZE`` picks the variable whose elimination forms the product with
-    the fewest scope variables; ``MIN_WEIGHT`` minimizes that product's
-    entry count (the product of its scope's domain sizes).  Ties go to the
-    smallest variable id.
-    """
-
-    MIN_SIZE = "min-size"
-    MIN_WEIGHT = "min-weight"
 
 
 @dataclass(frozen=True)
@@ -148,29 +134,9 @@ def align(f: Factor, scope: Sequence[int]) -> Factor:
     return Factor(scope, f.values.transpose(perm))
 
 
-def _metric_key(
-    v: int,
-    factor_ids: Iterable[int],
-    live: Mapping[int, Factor],
-    heuristic: Heuristic,
-) -> tuple[int, int]:
-    """Cost of eliminating ``v``, measured on the product of the factors
-    containing it; domain sizes come from the factors' shapes."""
-    if heuristic is Heuristic.MIN_SIZE:
-        union: set[int] = set()
-        for fid in factor_ids:
-            union.update(live[fid].scope)
-        return (len(union), v)
-    sizes: dict[int, int] = {}
-    for fid in factor_ids:
-        sizes.update(zip(live[fid].scope, live[fid].values.shape))
-    return (math.prod(sizes.values()), v)
-
-
 def eliminate(
     factors: Iterable[Factor],
     keep: Sequence[int],
-    heuristic: Heuristic = Heuristic.MIN_SIZE,
     *,
     order: Sequence[int] | None = None,
     stats: EliminationStats | None = None,
@@ -180,13 +146,15 @@ def eliminate(
     """Sum every variable outside ``keep`` out of the product of
     ``factors`` and return the result aligned to ``keep``.
 
-    Unless an explicit ``order`` is given, the heuristic picks each next
-    variable, measured on the product of all live factors containing it.
-    Only the variables whose factors changed are re-measured.  An explicit
+    Unless an explicit ``order`` is given, the next variable is the one whose
+    product of all live factors containing it has the fewest entries (domain
+    sizes read from the factor shapes), ties going to the smallest id.  Only
+    the variables whose factors changed are re-measured.  An explicit
     order must cover every eliminable variable; other entries are skipped.
     Products are taken in factor insertion order (given factors first, then
     each summed-out table), and both guards are checked from the scope sizes
-    before a product is allocated.
+    before a product is allocated; a tripped guard raises
+    :class:`GuardExceededError` carrying the partial ``stats``.
     """
     if stats is None:
         stats = EliminationStats()
@@ -211,20 +179,22 @@ def eliminate(
                     entries *= s
             if max_table_entries is not None and entries > max_table_entries:
                 raise GuardExceededError(
-                    f"intermediate table of {entries} entries exceeds the guard"
+                    f"intermediate table of {entries} entries exceeds the guard", stats
                 )
             if (
                 max_multiplications is not None
                 and stats.multiplications + entries > max_multiplications
             ):
                 raise GuardExceededError(
-                    f"{stats.multiplications + entries} multiplications exceed the guard"
+                    f"{stats.multiplications + entries} multiplications exceed the guard", stats
                 )
             result = multiply(result, f, stats)
         return result
 
+    size: dict[int, int] = {}
     for f in factors:
         insert(f)
+        size.update(zip(f.scope, f.values.shape))
     eliminable = set(var_index) - set(keep)
 
     if order is not None:
@@ -241,7 +211,10 @@ def eliminate(
         if order is not None:
             return next(sequence)
         for v in dirty:
-            metric[v] = _metric_key(v, var_index[v], live, heuristic)
+            union: set[int] = set()
+            for fid in var_index[v]:
+                union.update(live[fid].scope)
+            metric[v] = (math.prod(map(size.__getitem__, union)), v)
         dirty.clear()
         return min(metric.values())[1]
 
@@ -271,28 +244,19 @@ def eliminate(
     return align(result, keep)
 
 
-def _prune_barren(net: ExpandedNetwork, query: Query) -> set[int]:
-    """Iteratively remove original leaves that are neither target nor
-    evidence.  Each removed node drops its whole factor group, which sums to
-    one over its child and auxiliary variables, so posteriors are
-    unchanged.  Returns the kept original ids."""
-    protected = set(query.targets) | set(query.evidence)
-    source = net.source
-    n = len(source.variables)
-    child_count = [0] * n
-    for vid in range(n):
-        for p in node_parents(source.nodes[vid]):
-            child_count[p] += 1
-    removed: set[int] = set()
-    stack = [v for v in range(n) if child_count[v] == 0 and v not in protected]
+def _relevant_ancestors(net: ExpandedNetwork, query: Query) -> set[int]:
+    """Original ids of the targets, the evidence and all their ancestors.
+    Every other node is barren: its factor group sums to one over its child
+    and auxiliary variables, so dropping it leaves posteriors unchanged."""
+    nodes = net.source.nodes
+    kept: set[int] = set()
+    stack = [*query.targets, *query.evidence]
     while stack:
         v = stack.pop()
-        removed.add(v)
-        for p in node_parents(source.nodes[v]):
-            child_count[p] -= 1
-            if child_count[p] == 0 and p not in protected and p not in removed:
-                stack.append(p)
-    return set(range(n)) - removed
+        if v not in kept:
+            kept.add(v)
+            stack.extend(node_parents(nodes[v]))
+    return kept
 
 
 def _validate_query(net: ExpandedNetwork, query: Query):
@@ -310,7 +274,6 @@ def _validate_query(net: ExpandedNetwork, query: Query):
 def query_posterior(
     net: ExpandedNetwork,
     query: Query,
-    heuristic: Heuristic = Heuristic.MIN_SIZE,
     *,
     order: Sequence[int] | None = None,
     max_multiplications: int | None = None,
@@ -320,8 +283,8 @@ def query_posterior(
 
     Evidence is applied by restricting every factor mentioning it (the
     effect selector included; no special casing).  Unless an explicit
-    ``order`` is supplied, barren original nodes are pruned first and the
-    heuristic picks the elimination order (see :func:`eliminate`).
+    ``order`` is supplied, only the targets, the evidence and their
+    ancestors enter, and :func:`eliminate` picks the order.
 
     The final table is clamped (entries within round-off of zero) and
     normalized; a zero normalization constant raises
@@ -331,7 +294,7 @@ def query_posterior(
     stats = EliminationStats()
 
     if order is None:
-        kept = _prune_barren(net, query)
+        kept = _relevant_ancestors(net, query)
     else:
         kept = set(net.original_ids)
     stats.relevant_vars = len(kept)
@@ -348,7 +311,6 @@ def query_posterior(
     result = eliminate(
         factors,
         query.targets,
-        heuristic,
         order=order,
         stats=stats,
         max_multiplications=max_multiplications,

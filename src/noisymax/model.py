@@ -69,7 +69,12 @@ class MalformedDistributionError(NetworkError):
 
 class GuardExceededError(Exception):
     """A resource guard tripped: enumeration size, table entries, or
-    multiplication budget."""
+    multiplication budget.  ``stats`` carries the partial counts of the
+    elimination that tripped it, if any."""
+
+    def __init__(self, message: str, stats=None):
+        super().__init__(message)
+        self.stats = stats
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from noisymax import (
-    Heuristic,
     Query,
     Strategy,
     brute_force_joint,
@@ -37,7 +36,6 @@ from helpers import (
 )
 
 ALL_STRATEGIES = list(Strategy)
-ALL_HEURISTICS = list(Heuristic)
 
 
 @contextmanager
@@ -99,7 +97,7 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_end_to_end_agreement():
-    with criterion(4, "strategies x heuristics agree with full-joint enumeration", 120.0):
+    with criterion(4, "every strategy agrees with full-joint enumeration", 120.0):
         for seed in range(200):
             net = random_network(seed)
             n = len(net.variables)
@@ -118,13 +116,11 @@ def test_criterion_4_end_to_end_agreement():
             for query in queries:
                 expected = brute_force_joint(net, query)
                 for strategy in ALL_STRATEGIES:
-                    for heuristic in ALL_HEURISTICS:
-                        posterior, _ = query_posterior(expanded[strategy], query, heuristic)
-                        deviation = float(abs(posterior.values - expected.values).max())
-                        assert deviation <= 1e-9, (
-                            f"seed {seed} {strategy.value}/{heuristic.value} "
-                            f"query {query}: deviation {deviation}"
-                        )
+                    posterior, _ = query_posterior(expanded[strategy], query)
+                    deviation = float(abs(posterior.values - expected.values).max())
+                    assert deviation <= 1e-9, (
+                        f"seed {seed} {strategy.value} query {query}: deviation {deviation}"
+                    )
 
 
 def test_criterion_5_noisy_or_reduction():
@@ -228,10 +224,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
         net = parse_network(net_text)
         assert serialize_network(net) == net_text
 
-        runs = [
-            run_benchmark(net, ALL_STRATEGIES, ALL_HEURISTICS)
-            for _ in range(2)
-        ]
+        runs = [run_benchmark(net, ALL_STRATEGIES) for _ in range(2)]
         counts = [[c.multiplications for c in report.cells] for report in runs]
         assert counts[0] == counts[1]
         docs = [json.dumps(r.to_json(include_timings=False)) for r in runs]

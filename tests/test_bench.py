@@ -6,7 +6,6 @@ from noisymax import (
     AgreementError,
     Factor,
     GeneratorSpec,
-    Heuristic,
     Network,
     NoisyMaxCpd,
     Query,
@@ -135,14 +134,14 @@ class TestRunBenchmark:
             (Variable(0, "A", ("a", "b")),),
             (TableCpd(Factor((0,), [0.3, 0.7])),),
         )
-        report = run_benchmark(net, list(Strategy), list(Heuristic))
+        report = run_benchmark(net, list(Strategy))
         assert report.query_count == 1
         for key, buckets in report.histograms.items():
             assert buckets == {"0-9": 1}
 
     def test_histogram_counts_sum_to_query_count(self):
         net = generate(GeneratorSpec(kind="bn2o", seed=5, diseases=4, findings=3, max_parents=2))
-        report = run_benchmark(net, list(Strategy), [Heuristic.MIN_SIZE])
+        report = run_benchmark(net, list(Strategy))
         for buckets in report.histograms.values():
             assert sum(buckets.values()) == report.query_count
 
@@ -158,7 +157,6 @@ class TestRunBenchmark:
             run_benchmark(
                 net,
                 [Strategy.TRIVIAL, Strategy.TEMPORAL],
-                [Heuristic.MIN_SIZE],
                 expanded={Strategy.TEMPORAL: injected},
             )
         assert excinfo.value.deviation > 1e-9
@@ -169,20 +167,28 @@ class TestRunBenchmark:
         report = run_benchmark(
             net,
             [Strategy.TRIVIAL, Strategy.MULTIPLICATIVE],
-            [Heuristic.MIN_SIZE],
             queries=[Query((18,), {})],
             guard_entries=2**16,
         )
         by_strategy = {c.strategy: c for c in report.cells}
-        assert by_strategy["trivial"].status == "aborted"
+        aborted = by_strategy["trivial"]
+        assert aborted.status == "aborted"
         assert by_strategy["multiplicative"].status == "ok"
-        assert report.histograms["trivial/min-size"] == {"aborted": 1}
-        assert sum(report.histograms["trivial/min-size"].values()) == 1
+        assert report.histograms["trivial"] == {"aborted": 1}
+        assert sum(report.histograms["trivial"].values()) == 1
+        # The abort keeps the partial stats and the guard's reason.
+        assert aborted.relevant_vars == 19
+        assert "entries exceeds the guard" in aborted.reason
+        cell_doc = report.to_json()["cells"][0]
+        assert cell_doc["strategy"] == "trivial"
+        assert cell_doc["relevant_vars"] == 19
+        assert cell_doc["reason"] == aborted.reason
+        assert by_strategy["multiplicative"].reason is None
 
     def test_reports_are_deterministic(self):
         net = generate(GeneratorSpec(kind="bn2o", seed=6, diseases=4, findings=3, max_parents=3))
-        first = run_benchmark(net, list(Strategy), list(Heuristic))
-        second = run_benchmark(net, list(Strategy), list(Heuristic))
+        first = run_benchmark(net, list(Strategy))
+        second = run_benchmark(net, list(Strategy))
         assert first.to_json(include_timings=False) == second.to_json(include_timings=False)
         assert [c.multiplications for c in first.cells] == [
             c.multiplications for c in second.cells
@@ -190,15 +196,15 @@ class TestRunBenchmark:
 
     def test_csv_columns(self):
         net = single_effect_network(3)
-        report = run_benchmark(net, [Strategy.MULTIPLICATIVE], [Heuristic.MIN_WEIGHT])
+        report = run_benchmark(net, [Strategy.MULTIPLICATIVE])
         lines = report.to_csv().strip().splitlines()
-        assert lines[0] == "query,strategy,heuristic,mults,peak,time_ms,status"
+        assert lines[0] == "query,strategy,mults,peak,time_ms,status"
         assert len(lines) == 1 + len(report.cells)
 
     def test_explicit_queries_with_evidence(self):
         net = single_effect_network(4)
         queries = [Query((0,), {4: 1}), Query((4,), {})]
-        report = run_benchmark(net, list(Strategy), [Heuristic.MIN_SIZE], queries=queries)
+        report = run_benchmark(net, list(Strategy), queries=queries)
         assert report.query_count == 2
         assert all(c.status == "ok" for c in report.cells)
 
@@ -208,9 +214,7 @@ class TestRunBenchmark:
         monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "5")
         assert default_guard_mults() == 5
         net = single_effect_network(6)
-        report = run_benchmark(
-            net, [Strategy.TRIVIAL], [Heuristic.MIN_SIZE], queries=[Query((6,), {})]
-        )
+        report = run_benchmark(net, [Strategy.TRIVIAL], queries=[Query((6,), {})])
         assert report.cells[0].status == "aborted"
         monkeypatch.delenv("NOISYMAX_GUARD_MULTS")
         assert default_guard_mults() == 10**8

@@ -139,14 +139,12 @@ class TestInfer:
             "--evidence",
             "E=T",
             "--stats",
-            "--heuristic",
-            "min-weight",
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["posterior"]["T"] == pytest.approx(0.43 / 0.58, abs=1e-9)
         stats = doc["stats"]
-        assert stats["heuristic"] == "min-weight"
+        assert "heuristic" not in stats
         assert stats["multiplications"] > 0
         assert "relevant_vars" in stats
 
@@ -169,6 +167,14 @@ class TestInfer:
         assert code != 0
         assert json.loads(err)["error"] == "unknown-state"
 
+    def test_guard_applies_to_infer(self, capsys, monkeypatch, noisy_or_file):
+        monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "1")
+        code, out, err = run(capsys, "infer", noisy_or_file, "--target", "E")
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "guard-exceeded"
+        assert "multiplications exceed the guard" in payload["message"]
+
 
 class TestGen:
     def test_written_file_validates_and_is_deterministic(self, capsys, tmp_path):
@@ -190,7 +196,9 @@ class TestGen:
             "--findings", "1", "--max-parents", "5", "-o", str(tmp_path / "x.json"),
         )
         assert code != 0
-        assert "infeasible" in json.loads(err)["message"]
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-spec"
+        assert "infeasible" in payload["message"]
 
 
 class TestBench:
@@ -201,7 +209,6 @@ class TestBench:
             capsys,
             "bench", noisy_or_file,
             "--strategies", "trivial,multiplicative",
-            "--heuristics", "min-size",
             "--out", str(report),
             "--csv", str(csv_path),
         )
@@ -211,7 +218,18 @@ class TestBench:
         assert len(doc["cells"]) == 6
         assert all(cell["status"] == "ok" for cell in doc["cells"])
         header = csv_path.read_text().splitlines()[0]
-        assert header == "query,strategy,heuristic,mults,peak,time_ms,status"
+        assert header == "query,strategy,mults,peak,time_ms,status"
+
+    def test_unknown_strategy(self, capsys, noisy_or_file):
+        for argv in (
+            ["bench", noisy_or_file, "--strategies", "trivial,bogus"],
+            ["expand", noisy_or_file, "--strategy", "bogus"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            payload = json.loads(err)
+            assert payload["error"] == "unknown-strategy"
+            assert "bogus" in payload["message"]
 
     def test_usage_error_exits_nonzero(self, noisy_or_file):
         with pytest.raises(SystemExit):

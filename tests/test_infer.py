@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisymax import (
     EliminationStats,
     Factor,
     GuardExceededError,
-    Heuristic,
     Network,
     Query,
     Strategy,
@@ -25,10 +26,10 @@ from noisymax import (
     query_posterior,
     restrict,
 )
+from noisymax.model import node_parents
 from helpers import noisy_or_network, random_network, random_noisymax
 
 ALL_STRATEGIES = list(Strategy)
-ALL_HEURISTICS = list(Heuristic)
 
 
 class TestMultiply:
@@ -149,7 +150,7 @@ class TestRestrict:
 
 
 class TestChooseNext:
-    """The first variable :func:`eliminate` picks under each heuristic."""
+    """The first variable :func:`eliminate` picks."""
 
     def chain_factors(self):
         return [
@@ -158,28 +159,34 @@ class TestChooseNext:
             Factor((1, 2), np.full((2, 2), 0.5)),
         ]
 
-    def first_eliminated(self, factors, keep, heuristic):
+    def first_eliminated(self, factors, keep):
         stats = EliminationStats()
-        eliminate(factors, keep, heuristic, stats=stats)
+        eliminate(factors, keep, stats=stats)
         return stats.ordering[0]
 
     def test_chain_prefers_leaf(self):
-        # Eliminating B forms a product over {A,B,C} (8 entries, 3 vars);
-        # eliminating C only over {B,C} (4 entries, 2 vars).
-        for heuristic in ALL_HEURISTICS:
-            assert self.first_eliminated(self.chain_factors(), (0,), heuristic) == 2
+        # Eliminating B forms a product over {A,B,C} (8 entries);
+        # eliminating C only over {B,C} (4 entries).
+        assert self.first_eliminated(self.chain_factors(), (0,)) == 2
 
     def test_single_candidate(self):
-        for heuristic in ALL_HEURISTICS:
-            assert self.first_eliminated(self.chain_factors(), (0, 2), heuristic) == 1
+        assert self.first_eliminated(self.chain_factors(), (0, 2)) == 1
+
+    def test_fewest_entries_beats_fewest_variables(self):
+        # Eliminating 0 forms a 2-variable product of 20 entries; eliminating
+        # 1 (or 2) a 3-variable product of 8 entries.
+        factors = [
+            Factor((0, 3), np.ones((10, 2))),
+            Factor((1, 2, 3), np.ones((2, 2, 2))),
+        ]
+        assert self.first_eliminated(factors, (3,)) == 1
 
     def test_tie_breaks_to_smallest_id(self):
         factors = [
             Factor((0, 2), np.ones((2, 2))),
             Factor((1, 2), np.ones((2, 2))),
         ]
-        for heuristic in ALL_HEURISTICS:
-            assert self.first_eliminated(factors, (2,), heuristic) == 0
+        assert self.first_eliminated(factors, (2,)) == 0
 
 
 class TestQueryPosterior:
@@ -197,10 +204,9 @@ class TestQueryPosterior:
         net = noisy_or_network()
         for strategy in ALL_STRATEGIES:
             expanded, _ = expand(net, strategy)
-            for heuristic in ALL_HEURISTICS:
-                posterior, stats = query_posterior(expanded, Query((2,), {}), heuristic)
-                np.testing.assert_allclose(posterior.values, [0.42, 0.58], atol=1e-12)
-                assert stats.multiplications > 0
+            posterior, stats = query_posterior(expanded, Query((2,), {}))
+            np.testing.assert_allclose(posterior.values, [0.42, 0.58], atol=1e-12)
+            assert stats.multiplications > 0
 
     def test_posterior_with_evidence_matches_brute_force(self):
         net = noisy_or_network()
@@ -231,9 +237,7 @@ class TestQueryPosterior:
         net = random_network(5)
         query = Query((0,), {})
         expanded, _ = expand(net, Strategy.MULTIPLICATIVE)
-        reference, _ = query_posterior(expanded, query, Heuristic.MIN_SIZE)
-        alt, _ = query_posterior(expanded, query, Heuristic.MIN_WEIGHT)
-        np.testing.assert_allclose(alt.values, reference.values, atol=1e-9)
+        reference, _ = query_posterior(expanded, query)
         everything = list(expanded.variables)
         for _ in range(5):
             order = [v for v in rng.permutation(everything) if v != 0]
@@ -287,6 +291,38 @@ class TestQueryPosterior:
         expected = brute_force_joint(net, query)
         np.testing.assert_allclose(posterior.values, expected.values, atol=1e-12)
         assert stats.relevant_vars == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        strategy=st.sampled_from(ALL_STRATEGIES),
+        data=st.data(),
+    )
+    def test_relevant_set_is_the_barren_fixpoint(self, seed, strategy, data):
+        net = random_network(seed)
+        n = len(net.variables)
+        target = data.draw(st.integers(0, n - 1))
+        observed = data.draw(
+            st.lists(st.integers(0, n - 1).filter(lambda v: v != target), max_size=3, unique=True)
+        )
+        evidence = {v: data.draw(st.integers(0, net.var(v).size - 1)) for v in observed}
+        query = Query((target,), evidence)
+
+        # Independent fixpoint: v is kept iff it is a target, is evidence,
+        # or has a kept child.
+        children = [[c for c in range(n) if v in node_parents(net.nodes[c])] for v in range(n)]
+        kept = {target, *evidence}
+        while True:
+            grown = kept | {v for v in range(n) if any(c in kept for c in children[v])}
+            if grown == kept:
+                break
+            kept = grown
+
+        expanded, _ = expand(net, strategy)
+        posterior, stats = query_posterior(expanded, query)
+        assert stats.relevant_vars == len(kept)
+        expected = brute_force_joint(net, query)
+        np.testing.assert_allclose(posterior.values, expected.values, atol=1e-9)
 
     def test_zero_probability_evidence(self):
         net = Network(
@@ -371,16 +407,15 @@ class TestBruteForce:
             expected = brute_force_joint(net, query)
             for strategy in ALL_STRATEGIES:
                 expanded, _ = expand(net, strategy)
-                for heuristic in ALL_HEURISTICS:
-                    posterior, stats = query_posterior(expanded, query, heuristic)
-                    np.testing.assert_allclose(
-                        posterior.values,
-                        expected.values,
-                        atol=1e-9,
-                        err_msg=f"seed={seed} {strategy} {heuristic}",
-                    )
-                    # Signed intermediates must cancel by the end.
-                    assert stats.min_unnormalized >= -1e-9
+                posterior, stats = query_posterior(expanded, query)
+                np.testing.assert_allclose(
+                    posterior.values,
+                    expected.values,
+                    atol=1e-9,
+                    err_msg=f"seed={seed} {strategy}",
+                )
+                # Signed intermediates must cancel by the end.
+                assert stats.min_unnormalized >= -1e-9
 
 
 class TestConcurrentQueries:
