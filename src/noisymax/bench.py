@@ -164,6 +164,7 @@ class BenchCell:
     multiplications: int
     peak_table_entries: int
     relevant_vars: int
+    pruned_states: int
     status: str
     time_ms: float
     reason: str | None = None
@@ -193,6 +194,7 @@ class BenchReport:
                     "multiplications": c.multiplications,
                     "peak_table_entries": c.peak_table_entries,
                     "relevant_vars": c.relevant_vars,
+                    "pruned_states": c.pruned_states,
                     "status": c.status,
                     "reason": c.reason,
                 }
@@ -330,6 +332,7 @@ def run_benchmark(
                     stats.multiplications,
                     stats.peak_table_entries,
                     stats.relevant_vars,
+                    stats.pruned_states,
                     status,
                     elapsed,
                     reason,

@@ -30,6 +30,13 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a JSON ``usage`` error, keeping exit code 2."""
+
+    def error(self, message):
+        self.exit(2, json.dumps({"error": "usage", "message": message}) + "\n")
+
+
 def _load(path: str) -> Network:
     try:
         text = Path(path).read_text()
@@ -115,6 +122,7 @@ def cmd_infer(args) -> int:
             "multiplications": stats.multiplications,
             "peak_table_entries": stats.peak_table_entries,
             "relevant_vars": stats.relevant_vars,
+            "pruned_states": stats.pruned_states,
             "wall_time_ms": wall_time_ms,
         }
     _emit(doc)
@@ -161,7 +169,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisymax",
         description="Exact inference over networks with factored noisy-max nodes.",
     )
@@ -211,10 +219,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except NetworkError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return 1
-    except CliError as exc:
+    except (NetworkError, CliError, InferenceError) as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return 1
     except AgreementError as exc:
@@ -226,7 +231,7 @@ def main(argv=None) -> int:
         }
         print(json.dumps(doc), file=sys.stderr)
         return 1
-    except (InferenceError, GuardExceededError, ValueError) as exc:
+    except (GuardExceededError, ValueError) as exc:
         code = "guard-exceeded" if isinstance(exc, GuardExceededError) else "inference-error"
         print(json.dumps({"error": code, "message": str(exc)}), file=sys.stderr)
         return 1

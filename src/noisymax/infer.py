@@ -14,6 +14,7 @@ as the independent test oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -30,15 +31,21 @@ NEGATIVE_MASS_RTOL = 1e-9
 class InferenceError(Exception):
     """Base class for inference failures."""
 
+    code = "inference-error"
+
 
 class ZeroPosteriorError(InferenceError):
     """The normalization constant is zero: the evidence has probability
     zero, or the signed factors cancelled completely."""
 
+    code = "zero-posterior"
+
 
 class NegativeMassError(InferenceError):
     """The final unnormalized table is more negative than cancellation
     round-off can explain."""
+
+    code = "negative-mass"
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,7 @@ class EliminationStats:
     peak_table_entries: int = 0
     ordering: list[int] = field(default_factory=list)
     relevant_vars: int = 0
+    pruned_states: int = 0  # dropped by the evidence pass, restricted-away variables' included
     min_unnormalized: float = 0.0
 
 
@@ -146,14 +154,15 @@ def eliminate(
     """Sum every variable outside ``keep`` out of the product of
     ``factors`` and return the result aligned to ``keep``.
 
-    Unless an explicit ``order`` is given, the next variable is the one whose
-    product of all live factors containing it has the fewest entries (domain
-    sizes read from the factor shapes), ties going to the smallest id.  Only
-    the variables whose factors changed are re-measured.  An explicit
-    order must cover every eliminable variable; other entries are skipped.
-    Products are taken in factor insertion order (given factors first, then
-    each summed-out table), and both guards are checked from the scope sizes
-    before a product is allocated; a tripped guard raises
+    Unless an explicit ``order`` is given, the next variable is the one
+    whose elimination adds the fewest fill edges (min-fill, Kjaerulff 1990),
+    ties going to the fewest entries in the product of the live factors
+    containing it (sizes read from the factor shapes), then to the smallest
+    id; both counts are updated edge by edge, never re-measured.  An
+    explicit order must cover every eliminable variable; other entries are
+    skipped.  Products are taken in factor insertion order (given factors
+    first, then each summed-out table), and both guards are checked from the
+    scope sizes before a product is allocated; a tripped guard raises
     :class:`GuardExceededError` carrying the partial ``stats``.
     """
     if stats is None:
@@ -203,25 +212,63 @@ def eliminate(
         if missing:
             raise ValueError(f"explicit order misses eliminable variables {sorted(missing)}")
         sequence = iter(given)
-
-    metric: dict[int, tuple[int, int]] = {}
-    dirty = set(eliminable)
+    else:
+        # Interaction graph: u, w adjacent when a live factor holds both.
+        # key[u] = [fill (non-adjacent neighbour pairs), product entries, u].
+        adj: dict[int, set[int]] = {}
+        cover: dict[int, tuple[int, ...]] = {}  # u's largest factor's scope
+        for scope in sorted((f.scope for f in live.values()), key=len, reverse=True):
+            for u in scope:
+                if u in adj:
+                    adj[u].update(scope)
+                else:
+                    adj[u] = set(scope)
+                    cover[u] = scope
+        key: dict[int, list[int]] = {}
+        for u, nbrs in adj.items():
+            # Every missing pair has an end outside u's largest factor.  nbrs
+            # still holds u, so the product counts u's own size; r has left
+            # pending, so whether adj[r] still holds r changes nothing.
+            fill = 0
+            rest = nbrs.difference(cover[u])
+            if rest:
+                pending = set(nbrs)
+                for r in rest:
+                    pending.discard(r)
+                    fill += len(pending - adj[r])
+            key[u] = [fill, math.prod(map(size.__getitem__, nbrs)), u]
+            nbrs.discard(u)
+        candidates = {u: key[u] for u in eliminable}
 
     def next_variable() -> int:
         if order is not None:
             return next(sequence)
-        for v in dirty:
-            union: set[int] = set()
-            for fid in var_index[v]:
-                union.update(live[fid].scope)
-            metric[v] = (math.prod(map(size.__getitem__, union)), v)
-        dirty.clear()
-        return min(metric.values())[1]
+        v = min(candidates.values())[2]
+        del candidates[v]
+        nbrs = adj.pop(v)
+        if key[v][0]:
+            for a, b in itertools.combinations(nbrs, 2):
+                if b not in adj[a]:
+                    # Fill edge a-b: it closes a gap for each common neighbour
+                    # and opens one between each end and its other neighbours.
+                    common = adj[a] & adj[b]
+                    for c in common:
+                        key[c][0] -= 1
+                    for x, y in ((a, b), (b, a)):
+                        key[x][0] += len(adj[x]) - len(common)
+                        key[x][1] *= size[y]
+                        adj[x].add(y)
+        for a in nbrs:
+            near, ka = adj[a], key[a]
+            # v formed a missing pair with each of a's neighbours outside the clique.
+            ka[0] -= len(near) - len(nbrs)
+            ka[1] //= size[v]
+            near.discard(v)
+        return v
 
     while eliminable:
         v = next_variable()
         eliminable.discard(v)
-        metric.pop(v, None)
         fids = sorted(var_index[v])
         joint = product(fids)
         for fid in fids:
@@ -231,9 +278,6 @@ def eliminate(
         if summed.size > stats.peak_table_entries:
             stats.peak_table_entries = summed.size
         insert(summed)
-        for u in summed.scope:
-            if u in eliminable:
-                dirty.add(u)
         stats.ordering.append(v)
 
     result = product(sorted(live))
@@ -259,6 +303,49 @@ def _relevant_ancestors(net: ExpandedNetwork, query: Query) -> set[int]:
     return kept
 
 
+def _drop_dead_states(
+    factors: list[Factor], keep: Sequence[int], touched: Iterable[int], stats: EliminationStats
+) -> list[Factor]:
+    """Drop every state of a variable outside ``keep`` whose slice is all zero
+    in some factor, and restrict away any variable left with one state, to a
+    fixpoint.  Exact for signed factors: every term with a dead state is zero.
+    Scans only the ``touched`` (evidence-sliced) factors and those a drop
+    slices, since a network's own zeros repeat on every query; writes no table."""
+    factors = list(factors)
+    holders: dict[int, list[int]] | None = None
+    work = set(touched)
+    while work:
+        i = work.pop()
+        scope, values = factors[i].scope, factors[i].values
+        for axis, (v, n) in enumerate(zip(scope, values.shape)):
+            # Cheap witness before the full scan: a nonzero entry on the line
+            # through the last state of every other axis proves its state live.
+            line = (-1,) * axis + (slice(None),) + (-1,) * (len(scope) - axis - 1)
+            if v in keep or values[line].all():
+                continue
+            others = tuple(a for a in range(len(scope)) if a != axis)
+            live = np.flatnonzero((values != 0).any(axis=others))
+            if len(live) == n:
+                continue
+            if len(live) == 0:
+                raise ZeroPosteriorError(f"evidence leaves variable {v} no state of nonzero mass")
+            if holders is None:
+                holders = {}
+                for j, f in enumerate(factors):
+                    for u in f.scope:
+                        holders.setdefault(u, []).append(j)
+            for j in holders.pop(v) if len(live) == 1 else holders[v]:
+                f = factors[j]
+                if len(live) == 1:
+                    factors[j] = restrict(f, v, int(live[0]))
+                else:
+                    factors[j] = Factor(f.scope, f.values.take(live, axis=f.scope.index(v)))
+                work.add(j)
+            stats.pruned_states += n if len(live) == 1 else n - len(live)
+            break  # factor i changed and is back in ``work``
+    return factors
+
+
 def _validate_query(net: ExpandedNetwork, query: Query):
     originals = set(net.original_ids)
     for t in query.targets:
@@ -282,9 +369,11 @@ def query_posterior(
     """Posterior over the query targets by variable elimination.
 
     Evidence is applied by restricting every factor mentioning it (the
-    effect selector included; no special casing).  Unless an explicit
-    ``order`` is supplied, only the targets, the evidence and their
-    ancestors enter, and :func:`eliminate` picks the order.
+    effect selector included; no special casing).  The states the evidence
+    rules out are then dropped (negative findings factorize away, as in
+    Heckerman's Quickscore), on every path.  Unless an explicit ``order``
+    is supplied, only the targets, the evidence and their ancestors enter,
+    and :func:`eliminate` picks the order.
 
     The final table is clamped (entries within round-off of zero) and
     normalized; a zero normalization constant raises
@@ -299,14 +388,17 @@ def query_posterior(
         kept = set(net.original_ids)
     stats.relevant_vars = len(kept)
 
-    factors = []
+    factors: list[Factor] = []
+    touched: set[int] = set()
     for child in sorted(kept):
         for idx in net.groups[child].factor_indices:
             f = net.factors[idx]
             for v, state in query.evidence.items():
                 if v in f.scope:
                     f = restrict(f, v, state)
+                    touched.add(len(factors))
             factors.append(f)
+    factors = _drop_dead_states(factors, query.targets, touched, stats)
 
     result = eliminate(
         factors,

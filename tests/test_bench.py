@@ -185,6 +185,18 @@ class TestRunBenchmark:
         assert cell_doc["reason"] == aborted.reason
         assert by_strategy["multiplicative"].reason is None
 
+    def test_aborted_cell_keeps_pruned_states(self):
+        net = single_effect_network(18)
+        # An absent d0 leaves its contribution variable one state; the
+        # trivial table still trips the entry guard.
+        report = run_benchmark(
+            net, [Strategy.TRIVIAL], queries=[Query((18,), {0: 0})], guard_entries=2**16
+        )
+        (cell,) = report.cells
+        assert cell.status == "aborted"
+        assert cell.pruned_states == 2
+        assert report.to_json()["cells"][0]["pruned_states"] == 2
+
     def test_reports_are_deterministic(self):
         net = generate(GeneratorSpec(kind="bn2o", seed=6, diseases=4, findings=3, max_parents=3))
         first = run_benchmark(net, list(Strategy))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from noisymax import AgreementError, cli
+from noisymax import AgreementError, NegativeMassError, cli
 from noisymax.model import parse_network, serialize_network
 from helpers import noisy_or_network
 
@@ -167,6 +167,39 @@ class TestInfer:
         assert code != 0
         assert json.loads(err)["error"] == "unknown-state"
 
+    def test_stats_count_pruned_states(self, capsys, noisy_or_file):
+        code, out, err = run(
+            capsys, "infer", noisy_or_file, "--target", "C1", "--evidence", "E=F", "--stats"
+        )
+        assert code == 0
+        # E = F leaves its multiplicative prefix variable one state.
+        assert json.loads(out)["stats"]["pruned_states"] == 2
+
+    def test_zero_posterior_code(self, capsys, tmp_path):
+        doc = {
+            "variables": [{"name": n, "states": ["a", "b"]} for n in "AB"],
+            "nodes": [
+                {"child": "A", "parents": [], "cpd": {"type": "table", "values": [1.0, 0.0]}},
+                {"child": "B", "parents": ["A"], "cpd": {"type": "table", "values": [0.5] * 4}},
+            ],
+        }
+        path = tmp_path / "impossible.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "infer", str(path), "--target", "B", "--evidence", "A=b")
+        assert code == 1
+        assert json.loads(err)["error"] == "zero-posterior"
+
+    def test_negative_mass_code(self, capsys, monkeypatch, noisy_or_file):
+        def negative(*args, **kwargs):
+            raise NegativeMassError("unnormalized posterior entry -0.5 below the bound")
+
+        monkeypatch.setattr(cli, "query_posterior", negative)
+        code, out, err = run(capsys, "infer", noisy_or_file, "--target", "E")
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "negative-mass"
+        assert "-0.5" in payload["message"]
+
     def test_guard_applies_to_infer(self, capsys, monkeypatch, noisy_or_file):
         monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "1")
         code, out, err = run(capsys, "infer", noisy_or_file, "--target", "E")
@@ -231,9 +264,23 @@ class TestBench:
             assert payload["error"] == "unknown-strategy"
             assert "bogus" in payload["message"]
 
-    def test_usage_error_exits_nonzero(self, noisy_or_file):
-        with pytest.raises(SystemExit):
-            cli.main(["infer", noisy_or_file])  # --target is required
+    def test_usage_error_exits_nonzero(self, capsys, noisy_or_file):
+        for argv in (
+            ["infer", noisy_or_file],  # --target is required
+            ["infer", noisy_or_file, "--target", "E", "--strategy", "bogus"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2
+            payload = json.loads(capsys.readouterr().err)
+            assert payload["error"] == "usage"
+            assert payload["message"]
+
+    def test_help_stays_plain_text(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["infer", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: noisymax infer")
 
     def test_agreement_error_is_json(self, capsys, monkeypatch, noisy_or_file):
         def disagree(*args, **kwargs):

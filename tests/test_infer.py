@@ -1,5 +1,8 @@
 """Factor algebra and the variable-elimination engine."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 from noisymax import (
     EliminationStats,
     Factor,
+    GeneratorSpec,
     GuardExceededError,
     Network,
+    NoisyMaxCpd,
     Query,
     Strategy,
     TableCpd,
@@ -20,6 +25,7 @@ from noisymax import (
     eliminate,
     expand,
     expand_cpd,
+    generate,
     infer,
     marginalize,
     multiply,
@@ -180,6 +186,53 @@ class TestChooseNext:
             Factor((1, 2, 3), np.ones((2, 2, 2))),
         ]
         assert self.first_eliminated(factors, (3,)) == 1
+
+    def test_fewest_fill_edges_beats_fewest_entries(self):
+        # Eliminating 3 forms an 8-entry product but joins 4 and 5, which
+        # share no factor; eliminating 0 forms 27 entries and joins nothing.
+        factors = [
+            Factor((0, 1, 2), np.ones((3, 3, 3))),
+            Factor((3, 4), np.ones((2, 2))),
+            Factor((3, 5), np.ones((2, 2))),
+        ]
+        assert self.first_eliminated(factors, (1, 2, 4, 5)) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_whole_order_matches_a_naive_recount(self, data):
+        n = data.draw(st.integers(2, 12))
+        sizes = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+        scopes = data.draw(
+            st.lists(
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+                min_size=1, max_size=14,
+            )
+        )
+        factors = [Factor(tuple(sc), np.ones([sizes[v] for v in sc])) for sc in scopes]
+        present = sorted({v for sc in scopes for v in sc})
+        stats = EliminationStats()
+        eliminate(factors, present[:1], stats=stats)
+
+        # Min-fill recounted from the live scopes at every step.
+        live = [set(sc) for sc in scopes]
+
+        def recount(v):
+            nbrs = set().union(*(s for s in live if v in s)) - {v}
+            fill = sum(
+                not any(a in s and b in s for s in live)
+                for a, b in itertools.combinations(sorted(nbrs), 2)
+            )
+            return fill, math.prod(sizes[u] for u in nbrs | {v}), v
+
+        expected = []
+        candidates = set(present[1:])
+        while candidates:
+            v = min(map(recount, candidates))[2]
+            merged = set().union(*(s for s in live if v in s)) - {v}
+            live = [s for s in live if v not in s] + [merged]
+            candidates.discard(v)
+            expected.append(v)
+        assert stats.ordering == expected
 
     def test_tie_breaks_to_smallest_id(self):
         factors = [
@@ -382,6 +435,119 @@ class TestQueryPosterior:
         with pytest.raises(GuardExceededError):
             query_posterior(expanded, query, max_multiplications=mult_guard)
         assert sum(allocated) <= mult_guard
+
+
+def _all_negative_posterior(net: Network, disease: int) -> np.ndarray:
+    """Quickscore's closed form: with every finding at its lowest value, the
+    posterior of a disease is its prior times the lowest-value link entry of
+    each finding it causes."""
+    weights = net.nodes[disease].factor.values
+    for node in net.nodes:
+        if isinstance(node, NoisyMaxCpd) and disease in node.causes:
+            weights = weights * node.links[node.causes.index(disease)].rows[:, 0]
+    return weights / weights.sum()
+
+
+class TestEvidencePass:
+    """The per-query pass that drops the states evidence rules out."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        strategy=st.sampled_from(ALL_STRATEGIES),
+        data=st.data(),
+    )
+    def test_exact_under_any_evidence(self, seed, strategy, data):
+        net = random_network(seed)
+        n = len(net.variables)
+        effects = [v for v, node in enumerate(net.nodes) if isinstance(node, NoisyMaxCpd)]
+        target = data.draw(st.integers(0, n - 1))
+        observed = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(effects), st.integers(0, n - 1)).filter(
+                    lambda v: v != target
+                ),
+                min_size=1, max_size=4, unique=True,
+            )
+        )
+        evidence = {}
+        for v in observed:
+            top = net.var(v).size - 1
+            evidence[v] = data.draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top)))
+        query = Query((target,), evidence)
+        expected = brute_force_joint(net, query)
+        expanded, _ = expand(net, strategy)
+        order = [v for v in data.draw(st.permutations(sorted(expanded.variables))) if v != target]
+        for kwargs in ({}, {"order": order}):
+            posterior, _ = query_posterior(expanded, query, **kwargs)
+            np.testing.assert_allclose(posterior.values, expected.values, atol=1e-9)
+
+    def test_lowest_finding_prunes_the_max_inputs(self):
+        net = noisy_or_network()
+        pruned = {
+            Strategy.TRIVIAL: 4,
+            Strategy.PARENT_DIVORCING: 4,
+            Strategy.TEMPORAL: 4,
+            Strategy.MULTIPLICATIVE: 2,
+        }
+        for strategy in ALL_STRATEGIES:
+            expanded, _ = expand(net, strategy)
+            for state, expected_pruned in ((0, pruned[strategy]), (1, 0)):
+                query = Query((0,), {2: state})
+                posterior, stats = query_posterior(expanded, query)
+                assert stats.pruned_states == expected_pruned, (strategy, state)
+                expected = brute_force_joint(net, query)
+                np.testing.assert_allclose(posterior.values, expected.values, atol=1e-12)
+
+    def test_shared_network_is_never_written(self):
+        net = random_network(8)
+        findings = [v for v, node in enumerate(net.nodes) if isinstance(node, NoisyMaxCpd)]
+        for strategy in ALL_STRATEGIES:
+            expanded, _ = expand(net, strategy)
+            before = [f.values.tobytes() for f in expanded.factors]
+            for finding in findings:
+                for state in range(net.var(finding).size):
+                    query_posterior(expanded, Query((0,), {finding: state}))
+                query_posterior(expanded, Query((0,), {f: 0 for f in findings}))
+            assert [f.values.tobytes() for f in expanded.factors] == before
+
+    def test_impossible_evidence_raises(self):
+        always_a = np.array([[1.0, 0.0], [1.0, 0.0]])
+        net = Network(
+            tuple(Variable(i, name, ("a", "b")) for i, name in enumerate("ABC")),
+            (
+                TableCpd(Factor((0,), [0.5, 0.5])),
+                TableCpd(Factor((0, 1), always_a)),
+                TableCpd(Factor((0, 2), np.full((2, 2), 0.5))),
+            ),
+        )
+        # B = b leaves A no state of nonzero mass.
+        query = Query((2,), {1: 1})
+        expanded, _ = expand(net, Strategy.TRIVIAL)
+        with pytest.raises(ZeroPosteriorError, match="no state"):
+            query_posterior(expanded, query)
+        with pytest.raises(ZeroPosteriorError):
+            query_posterior(expanded, query, order=[0, 1])
+        with pytest.raises(ZeroPosteriorError):
+            brute_force_joint(net, query)
+
+    def test_negative_findings_factorize_away(self):
+        for findings in (4, 8, 16, 32):
+            spec = GeneratorSpec("bn2o", 5, diseases=6, findings=findings, max_parents=3,
+                                 effect_domain_size=3)
+            net = generate(spec)
+            links = sum(len(node.causes) for node in net.nodes if isinstance(node, NoisyMaxCpd))
+            evidence = {f: 0 for f in range(6, 6 + findings)}
+            for strategy in ALL_STRATEGIES:
+                expanded, _ = expand(net, strategy)
+                for disease in range(6):
+                    posterior, stats = query_posterior(expanded, Query((disease,), evidence))
+                    np.testing.assert_allclose(
+                        posterior.values, _all_negative_posterior(net, disease), atol=1e-12
+                    )
+                    # Each finding leaves at most m - 1 two-entry factors per
+                    # cause, so the cost is linear in the links.
+                    assert stats.multiplications <= 2 * 3 * (links + 6), (findings, strategy)
 
 
 class TestBruteForce:
