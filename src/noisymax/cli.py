@@ -53,9 +53,14 @@ def _parse_strategies(raw: str) -> list[Strategy]:
     if raw == "all":
         return list(Strategy)
     try:
-        return [Strategy(name.strip()) for name in raw.split(",") if name.strip()]
+        strategies = [Strategy(name.strip()) for name in raw.split(",") if name.strip()]
     except ValueError as exc:
         raise CliError("unknown-strategy", str(exc)) from None
+    if not strategies:
+        raise CliError("usage", f"no strategy named in {raw!r}")
+    if len(set(strategies)) != len(strategies):
+        raise CliError("usage", f"a strategy is named twice in {raw!r}")
+    return strategies
 
 
 def cmd_validate(args) -> int:
@@ -93,14 +98,20 @@ def cmd_infer(args) -> int:
             raise CliError(
                 "unknown-state", f"variable {var_name!r} has no state {state_name!r}"
             )
+        if var.id in evidence:
+            raise CliError("usage", f"evidence variable {var_name!r} is given twice")
         evidence[var.id] = var.domain.index(state_name)
+    try:
+        query = Query(targets, evidence)
+    except ValueError as exc:
+        raise CliError("usage", str(exc)) from None
 
     strategy = Strategy(args.strategy)
     expanded, _ = expand(net, strategy)
     start = time.perf_counter()
     posterior, stats = query_posterior(
         expanded,
-        Query(targets, evidence),
+        query,
         max_multiplications=default_guard_mults(),
         max_table_entries=DEFAULT_GUARD_ENTRIES,
     )

@@ -44,7 +44,6 @@ from .model import (
     NoisyMaxCpd,
     TableCpd,
     Variable,
-    node_child,
 )
 
 V_STATE = "V"
@@ -284,16 +283,6 @@ def encoding_entries(strategy: Strategy, n_contributions: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class ExpandedNode:
-    """Factors (as indices into the expanded factor list) and auxiliary
-    variable ids produced for one original node."""
-
-    child: int
-    factor_indices: tuple[int, ...]
-    aux_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SizeRow:
     child: str
     strategy: str
@@ -346,7 +335,7 @@ class ExpandedNetwork:
     source: Network
     variables: Mapping[int, Variable]
     factors: tuple[Factor, ...]
-    groups: tuple[ExpandedNode, ...]
+    groups: tuple[tuple[int, ...], ...]  # per original node, its factors' indices
 
     @property
     def original_ids(self) -> range:
@@ -360,9 +349,6 @@ class ExpandedNetwork:
     def size_of(self, vid: int) -> int:
         return self.variables[vid].size
 
-    def name_of(self, vid: int) -> str:
-        return self.variables[vid].name
-
 
 def expand(net: Network, strategy: Strategy) -> tuple[ExpandedNetwork, SizeReport]:
     """Apply ``strategy`` to every noisy-max node of ``net``.  The result
@@ -372,14 +358,13 @@ def expand(net: Network, strategy: Strategy) -> tuple[ExpandedNetwork, SizeRepor
     variables: dict[int, Variable] = {v.id: v for v in net.variables}
     next_id = len(net.variables)
     factors: list[Factor] = []
-    groups: list[ExpandedNode] = []
+    groups: list[tuple[int, ...]] = []
     rows: list[SizeRow] = []
 
     for node in net.nodes:
-        child = node_child(node)
         if isinstance(node, TableCpd):
             factors.append(node.factor)
-            groups.append(ExpandedNode(child, (len(factors) - 1,), ()))
+            groups.append((len(factors) - 1,))
             continue
         result = expand_cpd(node, variables, strategy, id_base=next_id)
         for aux in result.auxiliary_variables:
@@ -387,16 +372,10 @@ def expand(net: Network, strategy: Strategy) -> tuple[ExpandedNetwork, SizeRepor
         next_id += len(result.auxiliary_variables)
         start = len(factors)
         factors.extend(result.factors)
-        groups.append(
-            ExpandedNode(
-                child,
-                tuple(range(start, len(factors))),
-                tuple(a.id for a in result.auxiliary_variables),
-            )
-        )
+        groups.append(tuple(range(start, len(factors))))
         rows.append(
             SizeRow(
-                net.var(child).name,
+                net.var(node.effect).name,
                 strategy.value,
                 result.encoding_entry_count,
                 result.total_entry_count,

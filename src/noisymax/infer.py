@@ -146,13 +146,26 @@ def eliminate(
     factors: Iterable[Factor],
     keep: Sequence[int],
     *,
+    evidence: Mapping[int, int] | None = None,
     order: Sequence[int] | None = None,
     stats: EliminationStats | None = None,
     max_multiplications: int | None = None,
     max_table_entries: int | None = None,
 ) -> Factor:
     """Sum every variable outside ``keep`` out of the product of
-    ``factors`` and return the result aligned to ``keep``.
+    ``factors``, with each ``evidence`` variable fixed to its observed state,
+    and return the result aligned to ``keep``.
+
+    After evidence is fixed, every state of a variable outside ``keep``
+    whose slice is all zero in a factor evidence (or an earlier drop) sliced
+    is dropped, and a variable left with one state is fixed to it, to a
+    fixpoint: exact for signed factors, since every term with a dead state is
+    zero, and it makes negative findings factorize away as in Heckerman's
+    Quickscore.  ``stats.pruned_states`` counts the dropped states (a
+    variable fixed by the pass counts all of its states).  Only sliced
+    factors are scanned, since a network's own zeros repeat on every query;
+    no table is written.  An evidence variable in ``keep`` or in no factor
+    raises ``ValueError``.
 
     Unless an explicit ``order`` is given, the next variable is the one
     whose elimination adds the fewest fill edges (min-fill, Kjaerulff 1990),
@@ -178,6 +191,14 @@ def eliminate(
             var_index.setdefault(u, set()).add(next_fid)
         next_fid += 1
 
+    def fix(v: int, state: int) -> set[int]:
+        """Restrict ``v`` away in place, keeping each factor's id (and so
+        the product order); returns the ids of the factors it sliced."""
+        fids = var_index.pop(v)
+        for fid in fids:
+            live[fid] = restrict(live[fid], v, state)
+        return fids
+
     def product(fids: Sequence[int]) -> Factor:
         result = live[fids[0]]
         for fid in fids[1:]:
@@ -200,9 +221,43 @@ def eliminate(
             result = multiply(result, f, stats)
         return result
 
-    size: dict[int, int] = {}
     for f in factors:
         insert(f)
+    work: set[int] = set()
+    for v, state in (evidence or {}).items():
+        if v in keep:
+            raise ValueError(f"evidence variable {v} is also kept")
+        if v not in var_index:
+            raise ValueError(f"no factor holds evidence variable {v}")
+        work |= fix(v, state)
+    while work:
+        fid = work.pop()
+        scope, values = live[fid].scope, live[fid].values
+        for axis, (v, n) in enumerate(zip(scope, values.shape)):
+            # Cheap witness before the full scan: a nonzero entry on the line
+            # through the last state of every other axis proves its state live.
+            line = (-1,) * axis + (slice(None),) + (-1,) * (len(scope) - axis - 1)
+            if v in keep or values[line].all():
+                continue
+            others = tuple(a for a in range(len(scope)) if a != axis)
+            states = np.flatnonzero((values != 0).any(axis=others))
+            if len(states) == n:
+                continue
+            if len(states) == 0:
+                raise ZeroPosteriorError(f"evidence leaves variable {v} no state of nonzero mass")
+            if len(states) == 1:
+                work |= fix(v, int(states[0]))
+                stats.pruned_states += n
+            else:
+                for j in var_index[v]:
+                    f = live[j]
+                    live[j] = Factor(f.scope, f.values.take(states, axis=f.scope.index(v)))
+                work |= var_index[v]
+                stats.pruned_states += n - len(states)
+            break  # this factor changed and is back in ``work``
+
+    size: dict[int, int] = {}
+    for f in live.values():
         size.update(zip(f.scope, f.values.shape))
     eliminable = set(var_index) - set(keep)
 
@@ -303,51 +358,8 @@ def _relevant_ancestors(net: ExpandedNetwork, query: Query) -> set[int]:
     return kept
 
 
-def _drop_dead_states(
-    factors: list[Factor], keep: Sequence[int], touched: Iterable[int], stats: EliminationStats
-) -> list[Factor]:
-    """Drop every state of a variable outside ``keep`` whose slice is all zero
-    in some factor, and restrict away any variable left with one state, to a
-    fixpoint.  Exact for signed factors: every term with a dead state is zero.
-    Scans only the ``touched`` (evidence-sliced) factors and those a drop
-    slices, since a network's own zeros repeat on every query; writes no table."""
-    factors = list(factors)
-    holders: dict[int, list[int]] | None = None
-    work = set(touched)
-    while work:
-        i = work.pop()
-        scope, values = factors[i].scope, factors[i].values
-        for axis, (v, n) in enumerate(zip(scope, values.shape)):
-            # Cheap witness before the full scan: a nonzero entry on the line
-            # through the last state of every other axis proves its state live.
-            line = (-1,) * axis + (slice(None),) + (-1,) * (len(scope) - axis - 1)
-            if v in keep or values[line].all():
-                continue
-            others = tuple(a for a in range(len(scope)) if a != axis)
-            live = np.flatnonzero((values != 0).any(axis=others))
-            if len(live) == n:
-                continue
-            if len(live) == 0:
-                raise ZeroPosteriorError(f"evidence leaves variable {v} no state of nonzero mass")
-            if holders is None:
-                holders = {}
-                for j, f in enumerate(factors):
-                    for u in f.scope:
-                        holders.setdefault(u, []).append(j)
-            for j in holders.pop(v) if len(live) == 1 else holders[v]:
-                f = factors[j]
-                if len(live) == 1:
-                    factors[j] = restrict(f, v, int(live[0]))
-                else:
-                    factors[j] = Factor(f.scope, f.values.take(live, axis=f.scope.index(v)))
-                work.add(j)
-            stats.pruned_states += n if len(live) == 1 else n - len(live)
-            break  # factor i changed and is back in ``work``
-    return factors
-
-
 def _validate_query(net: ExpandedNetwork, query: Query):
-    originals = set(net.original_ids)
+    originals = net.original_ids
     for t in query.targets:
         if t not in originals:
             raise ValueError(f"target {t} is not an original network variable")
@@ -368,41 +380,22 @@ def query_posterior(
 ) -> tuple[Factor, EliminationStats]:
     """Posterior over the query targets by variable elimination.
 
-    Evidence is applied by restricting every factor mentioning it (the
-    effect selector included; no special casing).  The states the evidence
-    rules out are then dropped (negative findings factorize away, as in
-    Heckerman's Quickscore), on every path.  Unless an explicit ``order``
-    is supplied, only the targets, the evidence and their ancestors enter,
-    and :func:`eliminate` picks the order.
+    Only the factors of the targets, the evidence and their ancestors
+    enter; :func:`eliminate` fixes the evidence (the effect selector
+    included; no special casing), drops the states it rules out and, unless
+    an explicit ``order`` is supplied, picks the order.
 
     The final table is clamped (entries within round-off of zero) and
     normalized; a zero normalization constant raises
     :class:`ZeroPosteriorError`, distinct from plain underflow.
     """
     _validate_query(net, query)
-    stats = EliminationStats()
-
-    if order is None:
-        kept = _relevant_ancestors(net, query)
-    else:
-        kept = set(net.original_ids)
-    stats.relevant_vars = len(kept)
-
-    factors: list[Factor] = []
-    touched: set[int] = set()
-    for child in sorted(kept):
-        for idx in net.groups[child].factor_indices:
-            f = net.factors[idx]
-            for v, state in query.evidence.items():
-                if v in f.scope:
-                    f = restrict(f, v, state)
-                    touched.add(len(factors))
-            factors.append(f)
-    factors = _drop_dead_states(factors, query.targets, touched, stats)
-
+    kept = _relevant_ancestors(net, query)
+    stats = EliminationStats(relevant_vars=len(kept))
     result = eliminate(
-        factors,
+        [net.factors[i] for child in sorted(kept) for i in net.groups[child]],
         query.targets,
+        evidence=query.evidence,
         order=order,
         stats=stats,
         max_multiplications=max_multiplications,

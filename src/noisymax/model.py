@@ -391,9 +391,6 @@ class Network:
     def names(self) -> dict[str, int]:
         return {v.name: v.id for v in self.variables}
 
-    def parents_of(self, vid: int) -> tuple[int, ...]:
-        return node_parents(self.nodes[vid])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
             return NotImplemented

@@ -160,6 +160,17 @@ class TestInfer:
         assert code != 0
         assert json.loads(err)["error"] == "usage"
 
+    def test_contradictory_query_is_a_usage_error(self, capsys, noisy_or_file):
+        for extra in (
+            ["--target", "C1", "--evidence", "C1=T"],
+            ["--target", "C1", "--target", "C1"],
+            ["--target", "E", "--evidence", "C1=T", "--evidence", "C1=F"],
+        ):
+            code, out, err = run(capsys, "infer", noisy_or_file, *extra)
+            assert code == 1, extra
+            assert out == ""
+            assert json.loads(err)["error"] == "usage", extra
+
     def test_unknown_state(self, capsys, noisy_or_file):
         code, out, err = run(
             capsys, "infer", noisy_or_file, "--target", "E", "--evidence", "C1=maybe"
@@ -263,6 +274,28 @@ class TestBench:
             payload = json.loads(err)
             assert payload["error"] == "unknown-strategy"
             assert "bogus" in payload["message"]
+
+    def test_empty_strategy_list_is_a_usage_error(self, capsys, noisy_or_file):
+        for argv in (
+            ["bench", noisy_or_file, "--strategies", ","],
+            ["expand", noisy_or_file, "--strategy", ","],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            assert json.loads(err)["error"] == "usage", argv
+
+    def test_repeated_strategy_is_a_usage_error(self, capsys, noisy_or_file):
+        for argv in (
+            ["bench", noisy_or_file, "--strategies", "trivial,trivial"],
+            ["expand", noisy_or_file, "--strategy", "multiplicative, multiplicative"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "usage", argv
+            assert "twice" in payload["message"]
 
     def test_usage_error_exits_nonzero(self, capsys, noisy_or_file):
         for argv in (

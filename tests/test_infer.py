@@ -448,8 +448,86 @@ def _all_negative_posterior(net: Network, disease: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _pruned_by_fixpoint(restricted: list[Factor], keep, touched) -> int | None:
+    """Independent count of the states the evidence pass drops, or None when
+    a variable is left no state.  A factor is scanned once evidence or a drop
+    has sliced it; a variable outside ``keep`` with more than one live state
+    keeps only the states whose slice is nonzero in every scanned factor.
+    A variable left one state counts all of its states."""
+    sizes = {u: n for f in restricted for u, n in zip(f.scope, f.values.shape)}
+    live = {u: np.arange(n) for u, n in sizes.items()}
+    scanned = set(touched)
+    while True:
+        shrunk = set()
+        for i in scanned:
+            f = restricted[i]
+            values = f.values[np.ix_(*(live[u] for u in f.scope))]
+            for axis, u in enumerate(f.scope):
+                if u in keep or len(live[u]) == 1:
+                    continue
+                others = tuple(a for a in range(values.ndim) if a != axis)
+                nonzero = (values != 0).any(axis=others)
+                if not nonzero.all():
+                    live[u] = live[u][nonzero]
+                    shrunk.add(u)
+                    break
+        if not shrunk:
+            break
+        scanned |= {i for i, f in enumerate(restricted) if shrunk & set(f.scope)}
+    if any(len(states) == 0 for states in live.values()):
+        return None
+    return sum(n if len(live[u]) == 1 else n - len(live[u]) for u, n in sizes.items())
+
+
 class TestEvidencePass:
     """The per-query pass that drops the states evidence rules out."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        strategy=st.sampled_from(ALL_STRATEGIES),
+        data=st.data(),
+    )
+    def test_eliminate_with_evidence_matches_restricting_by_hand(self, seed, strategy, data):
+        expanded, _ = expand(random_network(seed), strategy)
+        factors = list(expanded.factors)
+        everything = sorted(expanded.variables)
+        keep = tuple(data.draw(st.lists(st.sampled_from(everything), min_size=1, max_size=2,
+                                        unique=True)))
+        observed = data.draw(st.lists(st.sampled_from([v for v in everything if v not in keep]),
+                                      max_size=4, unique=True))
+        evidence = {v: data.draw(st.integers(0, expanded.size_of(v) - 1)) for v in observed}
+        restricted, touched = [], set()
+        for i, f in enumerate(factors):
+            for v, state in evidence.items():
+                if v in f.scope:
+                    f = restrict(f, v, state)
+                    touched.add(i)
+            restricted.append(f)
+        pruned = _pruned_by_fixpoint(restricted, keep, touched)
+        if pruned is None:
+            with pytest.raises(ZeroPosteriorError):
+                eliminate(factors, keep, evidence=evidence)
+            return
+
+        order = data.draw(st.permutations(everything))
+        for explicit in (None, order):
+            stats = EliminationStats()
+            result = eliminate(factors, keep, evidence=evidence, order=explicit, stats=stats)
+            expected = eliminate(restricted, keep, order=explicit)
+            assert result.scope == expected.scope == keep
+            np.testing.assert_allclose(result.values, expected.values, rtol=1e-9, atol=1e-12)
+            # Evidence variables are fixed, not pruned: never counted.
+            assert stats.pruned_states == pruned
+            assert not set(evidence) & set(stats.ordering)
+
+    def test_eliminate_rejects_bad_evidence(self):
+        expanded, _ = expand(noisy_or_network(), Strategy.TRIVIAL)
+        factors = list(expanded.factors)
+        with pytest.raises(ValueError, match="also kept"):
+            eliminate(factors, (2,), evidence={2: 1})
+        with pytest.raises(ValueError, match="no factor holds"):
+            eliminate(factors[:1], (0,), evidence={2: 1})
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -21,6 +21,7 @@ from noisymax import (
     parse_network,
     serialize_network,
 )
+from noisymax.model import node_parents
 from helpers import noisy_or_network
 
 
@@ -117,7 +118,7 @@ class TestParse:
         )
         net = parse_network(text)
         assert len(net.variables) == 1
-        assert all(not net.parents_of(v.id) for v in net.variables)
+        assert all(not node_parents(net.nodes[v.id]) for v in net.variables)
 
     def test_noisy_or_document(self):
         net = parse_network(doc_text())
