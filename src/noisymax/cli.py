@@ -31,7 +31,8 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as a JSON ``usage`` error, keeping exit code 2."""
+    """Reports usage errors as a JSON ``usage`` error with exit code 2, the
+    code ``main`` also gives every other ``usage`` error."""
 
     def error(self, message):
         self.exit(2, json.dumps({"error": "usage", "message": message}) + "\n")
@@ -232,7 +233,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (NetworkError, CliError, InferenceError) as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return 1
+        return 2 if exc.code == "usage" else 1
     except AgreementError as exc:
         doc = {
             "error": "agreement-error",

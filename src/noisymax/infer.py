@@ -3,9 +3,10 @@
 The engine runs on expanded networks (plain factors only) and tolerates
 negative entries everywhere except in the final, fully marginalized target
 table, where tiny negative residue from exact cancellations is clamped to
-zero.  Elimination cost is instrumented: scalar multiplications are counted
-one per output entry per binary product, and the peak intermediate table
-size is tracked.
+zero.  A variable is summed out inside the last product of its bucket, so
+the bucket's joint is never allocated, but the cost counts (scalar
+multiplications, one per joint entry per binary product, and the peak table
+size) still count it, as the paper's cost model does.
 
 ``brute_force_joint`` answers the same queries from the original network by
 enumerating the full joint; it shares no code path with elimination and acts
@@ -72,6 +73,9 @@ class Query:
 
 @dataclass
 class EliminationStats:
+    """``multiplications`` and ``peak_table_entries`` are the cost model's
+    counts for each product's joint, not what is allocated."""
+
     multiplications: int = 0
     peak_table_entries: int = 0
     ordering: list[int] = field(default_factory=list)
@@ -80,44 +84,77 @@ class EliminationStats:
     min_unnormalized: float = 0.0
 
 
-def multiply(a: Factor, b: Factor, stats: EliminationStats | None = None) -> Factor:
-    """Pointwise product.  The output scope is ``a``'s scope followed by
-    ``b``'s new variables; the multiplication count grows by the output
-    entry count."""
-    pos_b = {v: i for i, v in enumerate(b.scope)}
-    a_set = set(a.scope)
-    new = [v for v in b.scope if v not in a_set]
-    for i, v in enumerate(a.scope):
-        j = pos_b.get(v)
-        if j is not None and a.values.shape[i] != b.values.shape[j]:
+def multiply(
+    a: Factor, b: Factor, stats: EliminationStats | None = None, sum_out: int | None = None
+) -> Factor:
+    """Pointwise product, with ``sum_out`` (if given) summed out of it
+    without allocating the joint: out of the operand that alone holds it,
+    or inside :func:`_contract`.  Otherwise the output scope is ``a``'s
+    followed by ``b``'s new variables.  ``stats`` counts the joint's entries
+    either way."""
+    a_pos = {v: i for i, v in enumerate(a.scope)}
+    b_pos = {v: j for j, v in enumerate(b.scope)}
+    joint = a.values.size
+    for v, j in b_pos.items():
+        n = b.values.shape[j]
+        i = a_pos.get(v)
+        if i is None:
+            joint *= n
+        elif a.values.shape[i] != n:
             raise ValueError(
-                f"domain size mismatch for shared variable {v}: "
-                f"{a.values.shape[i]} vs {b.values.shape[j]}"
+                f"domain size mismatch for shared variable {v}: {a.values.shape[i]} vs {n}"
             )
-    out_scope = a.scope + tuple(new)
-
-    a_vals = a.values.reshape(a.values.shape + (1,) * len(new))
-    order = [pos_b[v] for v in out_scope if v in pos_b]
-    b_vals = b.values.transpose(order) if order else b.values
-    b_shape = tuple(
-        b.values.shape[pos_b[v]] if v in pos_b else 1 for v in out_scope
-    )
-    b_vals = b_vals.reshape(b_shape)
-
-    out = a_vals * b_vals
     if stats is not None:
-        stats.multiplications += out.size
-        if out.size > stats.peak_table_entries:
-            stats.peak_table_entries = out.size
-    return Factor(out_scope, out)
+        stats.multiplications += joint
+        if joint > stats.peak_table_entries:
+            stats.peak_table_entries = joint
+    if sum_out is not None:
+        i, j = a_pos.get(sum_out), b_pos.get(sum_out)
+        if i is not None and j is not None:
+            return _contract(a, b, a_pos, b_pos, sum_out)
+        if i is not None:
+            a = _sum_axis(a, i)  # a_pos still answers membership for b's variables
+        elif j is not None:
+            b = _sum_axis(b, j)
+            b_pos = {v: k for k, v in enumerate(b.scope)}
+        else:
+            raise ValueError(f"variable {sum_out} in neither scope {a.scope} nor {b.scope}")
+    new = [v for v in b.scope if v not in a_pos]
+    out_scope = a.scope + tuple(new)
+    a_vals = a.values.reshape(a.values.shape + (1,) * len(new))
+    order = [b_pos[v] for v in out_scope if v in b_pos]
+    b_vals = b.values.transpose(order) if order else b.values
+    b_shape = tuple(b.values.shape[b_pos[v]] if v in b_pos else 1 for v in out_scope)
+    return Factor._of(out_scope, a_vals * b_vals.reshape(b_shape))
+
+
+def _contract(a: Factor, b: Factor, a_pos: dict, b_pos: dict, v: int) -> Factor:
+    """``a`` times ``b`` summed over ``v``, which both hold, as one
+    ``(batch, a-only, v) @ (batch, v, b-only)`` matrix product, batch being
+    the other shared variables; the output scope needs no transpose back."""
+    batch = [u for u in a.scope if u in b_pos and u != v]
+    a_own = [u for u in a.scope if u not in b_pos]
+    b_own = [u for u in b.scope if u not in a_pos]
+    a_vals = a.values.transpose([a_pos[u] for u in batch + a_own + [v]])
+    b_vals = b.values.transpose([b_pos[u] for u in batch + [v] + b_own])
+    nb, n = len(batch), a_vals.shape[-1]
+    out_shape = a_vals.shape[:-1] + b_vals.shape[nb + 1 :]
+    out = np.matmul(
+        a_vals.reshape(-1, math.prod(a_vals.shape[nb:-1]), n),
+        b_vals.reshape(-1, n, math.prod(b_vals.shape[nb + 1 :])),
+    )
+    return Factor._of(tuple(batch + a_own + b_own), out.reshape(out_shape))
+
+
+def _sum_axis(f: Factor, axis: int) -> Factor:
+    return Factor._of(f.scope[:axis] + f.scope[axis + 1 :], f.values.sum(axis=axis))
 
 
 def marginalize(f: Factor, v: int) -> Factor:
     """Sum ``v`` out of the factor.  Negative entries may cancel."""
     if v not in f.scope:
         raise ValueError(f"variable {v} not in scope {f.scope}")
-    axis = f.scope.index(v)
-    return Factor(f.scope[:axis] + f.scope[axis + 1 :], f.values.sum(axis=axis))
+    return _sum_axis(f, f.scope.index(v))
 
 
 def restrict(f: Factor, v: int, state: int) -> Factor:
@@ -128,7 +165,7 @@ def restrict(f: Factor, v: int, state: int) -> Factor:
     if not 0 <= state < f.values.shape[axis]:
         raise ValueError(f"state {state} out of range for variable {v}")
     taken = f.values[(slice(None),) * axis + (state,)]
-    return Factor(f.scope[:axis] + f.scope[axis + 1 :], taken)
+    return Factor._of(f.scope[:axis] + f.scope[axis + 1 :], taken)
 
 
 def align(f: Factor, scope: Sequence[int]) -> Factor:
@@ -199,8 +236,10 @@ def eliminate(
             live[fid] = restrict(live[fid], v, state)
         return fids
 
-    def product(fids: Sequence[int]) -> Factor:
+    def product(fids: Sequence[int], sum_out: int | None = None) -> Factor:
         result = live[fids[0]]
+        if len(fids) == 1:
+            return result if sum_out is None else marginalize(result, sum_out)
         for fid in fids[1:]:
             f = live[fid]
             entries = result.values.size
@@ -218,7 +257,8 @@ def eliminate(
                 raise GuardExceededError(
                     f"{stats.multiplications + entries} multiplications exceed the guard", stats
                 )
-            result = multiply(result, f, stats)
+            last = fid == fids[-1]
+            result = multiply(result, f, stats, sum_out=sum_out if last else None)
         return result
 
     for f in factors:
@@ -251,7 +291,7 @@ def eliminate(
             else:
                 for j in var_index[v]:
                     f = live[j]
-                    live[j] = Factor(f.scope, f.values.take(states, axis=f.scope.index(v)))
+                    live[j] = Factor._of(f.scope, f.values.take(states, axis=f.scope.index(v)))
                 work |= var_index[v]
                 stats.pruned_states += n - len(states)
             break  # this factor changed and is back in ``work``
@@ -325,11 +365,10 @@ def eliminate(
         v = next_variable()
         eliminable.discard(v)
         fids = sorted(var_index[v])
-        joint = product(fids)
+        summed = product(fids, sum_out=v)
         for fid in fids:
             for u in live.pop(fid).scope:
                 var_index[u].discard(fid)
-        summed = marginalize(joint, v)
         if summed.size > stats.peak_table_entries:
             stats.peak_table_entries = summed.size
         insert(summed)

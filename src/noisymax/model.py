@@ -127,6 +127,15 @@ class Factor:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _of(cls, scope: tuple[int, ...], values) -> "Factor":
+        """Unchecked constructor for tables the engine derives from checked
+        factors (a numpy scalar from a full reduction becomes a 0-d array)."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "scope", scope)
+        object.__setattr__(f, "values", np.asarray(values))
+        return f
+
+    @classmethod
     def from_flat(cls, scope: Sequence[int], sizes: Sequence[int], flat) -> "Factor":
         """Build a factor from the canonical flat layout."""
         values = np.asarray(flat, dtype=float)

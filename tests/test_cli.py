@@ -157,7 +157,7 @@ class TestInfer:
         code, out, err = run(
             capsys, "infer", noisy_or_file, "--target", "E", "--evidence", "C1"
         )
-        assert code != 0
+        assert code == 2
         assert json.loads(err)["error"] == "usage"
 
     def test_contradictory_query_is_a_usage_error(self, capsys, noisy_or_file):
@@ -167,7 +167,7 @@ class TestInfer:
             ["--target", "E", "--evidence", "C1=T", "--evidence", "C1=F"],
         ):
             code, out, err = run(capsys, "infer", noisy_or_file, *extra)
-            assert code == 1, extra
+            assert code == 2, extra
             assert out == ""
             assert json.loads(err)["error"] == "usage", extra
 
@@ -281,7 +281,7 @@ class TestBench:
             ["expand", noisy_or_file, "--strategy", ","],
         ):
             code, out, err = run(capsys, *argv)
-            assert code == 1, argv
+            assert code == 2, argv
             assert out == ""
             assert json.loads(err)["error"] == "usage", argv
 
@@ -291,7 +291,7 @@ class TestBench:
             ["expand", noisy_or_file, "--strategy", "multiplicative, multiplicative"],
         ):
             code, out, err = run(capsys, *argv)
-            assert code == 1, argv
+            assert code == 2, argv
             assert out == ""
             payload = json.loads(err)
             assert payload["error"] == "usage", argv

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,58 @@ class TestMultiply:
                 miss = miss * link.rows[:, 0].reshape(shape)
             np.testing.assert_allclose(recovered.values[..., 0], miss, atol=1e-12)
             np.testing.assert_allclose(recovered.values[..., 1], 1 - miss, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        holder=st.sampled_from(["a", "b", "both"]),
+        counts=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        sizes=st.lists(st.integers(2, 4), min_size=7, max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fused_sum_matches_product_then_marginalize(self, holder, counts, sizes, seed):
+        # counts: shared variables besides v (the batch), a's own, b's own.
+        # All zero with v in both operands gives a scalar result.
+        rng = np.random.default_rng(seed)
+        n_batch, n_a, n_b = counts
+        v, batch = 0, list(range(1, 1 + n_batch))
+        a_scope = batch + list(range(10, 10 + n_a)) + ([v] if holder != "b" else [])
+        b_scope = batch + list(range(20, 20 + n_b)) + ([v] if holder != "a" else [])
+        size = dict(zip(sorted(set(a_scope + b_scope)), sizes))
+
+        def factor(scope):
+            scope = tuple(scope[k] for k in rng.permutation(len(scope)))
+            return Factor(scope, rng.normal(size=[size[u] for u in scope]))
+
+        a, b = factor(a_scope), factor(b_scope)
+        fused_stats, plain_stats = EliminationStats(), EliminationStats()
+        fused = multiply(a, b, fused_stats, sum_out=v)
+        expected = marginalize(multiply(a, b, plain_stats), v)
+        assert set(fused.scope) == set(expected.scope)
+        aligned = align(fused, expected.scope)
+        assert aligned.values.shape == expected.values.shape
+        np.testing.assert_allclose(aligned.values, expected.values, rtol=0, atol=1e-12)
+        assert fused_stats == plain_stats
+
+    def test_sum_out_in_neither_operand(self):
+        with pytest.raises(ValueError, match="neither"):
+            multiply(Factor((0,), [1.0, 2.0]), Factor((1,), [1.0, 2.0]), sum_out=2)
+
+    def test_fused_bucket_never_allocates_the_joint(self):
+        # Buckets (v, x1..x10) and (v, y1..y10): their joint has 2**21
+        # entries, 16 MB of float64, and the summed result half of that.
+        rng = np.random.default_rng(5)
+        a = Factor(tuple(range(11)), rng.random((2,) * 11))
+        b = Factor((0, *range(11, 21)), rng.random((2,) * 11))
+        stats = EliminationStats()
+        tracemalloc.start()
+        try:
+            eliminate([a, b], list(range(1, 21)), stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.ordering == [0]
+        assert stats.peak_table_entries == 2**21
+        assert peak < 2**21 * 8
 
 
 class TestMarginalize:
@@ -408,13 +461,15 @@ class TestQueryPosterior:
 
     def test_guards_fire_before_allocation(self, monkeypatch):
         # The recorder sees a product only if eliminate calls multiply
-        # through the module global, as outside tracers rely on.
-        allocated = []
+        # through the module global, as outside tracers rely on.  It records
+        # the joint the guards check, whether formed or summed inside the call.
+        joints = []
         real_multiply = infer.multiply
 
-        def recording(a, b, stats=None):
-            out = real_multiply(a, b, stats)
-            allocated.append(out.size)
+        def recording(a, b, stats=None, sum_out=None):
+            out = real_multiply(a, b, stats, sum_out=sum_out)
+            new = [n for u, n in zip(b.scope, b.values.shape) if u not in a.scope]
+            joints.append(a.size * math.prod(new))
             return out
 
         monkeypatch.setattr(infer, "multiply", recording)
@@ -422,19 +477,19 @@ class TestQueryPosterior:
         expanded, _ = expand(net, Strategy.TRIVIAL)
         query = Query((len(net.variables) - 1,), {})
         query_posterior(expanded, query)
-        assert allocated
-        entry_guard = max(allocated) - 1
-        mult_guard = sum(allocated) - 1
+        assert joints
+        entry_guard = max(joints) - 1
+        mult_guard = sum(joints) - 1
 
-        allocated.clear()
+        joints.clear()
         with pytest.raises(GuardExceededError):
             query_posterior(expanded, query, max_table_entries=entry_guard)
-        assert all(size <= entry_guard for size in allocated)
+        assert all(size <= entry_guard for size in joints)
 
-        allocated.clear()
+        joints.clear()
         with pytest.raises(GuardExceededError):
             query_posterior(expanded, query, max_multiplications=mult_guard)
-        assert sum(allocated) <= mult_guard
+        assert sum(joints) <= mult_guard
 
 
 def _all_negative_posterior(net: Network, disease: int) -> np.ndarray:
