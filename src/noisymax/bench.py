@@ -228,6 +228,8 @@ class BenchReport:
 class AgreementError(Exception):
     """Completed strategies disagreed on a query beyond tolerance."""
 
+    code = "agreement-error"
+
     def __init__(self, query: str, deviation: float):
         super().__init__(
             f"strategies disagree on query {query!r}: max deviation {deviation:.3e}"
@@ -255,9 +257,19 @@ def _query_label(net: Network, query: Query) -> str:
     return label
 
 
+def positive_int(raw: str, name: str) -> int:
+    """``raw`` as a positive decimal integer; anything else raises
+    ``ValueError`` naming ``name``."""
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def default_guard_mults() -> int:
+    """The multiplication guard: ``NOISYMAX_GUARD_MULTS`` if set, else
+    ``DEFAULT_GUARD_MULTS``."""
     raw = os.environ.get(GUARD_MULTS_ENV)
-    return int(raw) if raw else DEFAULT_GUARD_MULTS
+    return positive_int(raw, GUARD_MULTS_ENV) if raw else DEFAULT_GUARD_MULTS
 
 
 def run_benchmark(

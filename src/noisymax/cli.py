@@ -15,6 +15,7 @@ from .bench import (
     GeneratorSpec,
     default_guard_mults,
     generate,
+    positive_int,
     run_benchmark,
 )
 from .factorize import Strategy, expand
@@ -48,6 +49,15 @@ def _load(path: str) -> Network:
 
 def _emit(doc: dict):
     print(json.dumps(doc, indent=2))
+
+
+def _guard_mults(flag: str | None) -> int:
+    """``--guard-mults`` if given, else the environment's or the default
+    guard, read at run time so that only the commands it guards see it."""
+    try:
+        return positive_int(flag, "--guard-mults") if flag is not None else default_guard_mults()
+    except ValueError as exc:
+        raise CliError("usage", str(exc)) from None
 
 
 def _parse_strategies(raw: str) -> list[Strategy]:
@@ -113,7 +123,7 @@ def cmd_infer(args) -> int:
     posterior, stats = query_posterior(
         expanded,
         query,
-        max_multiplications=default_guard_mults(),
+        max_multiplications=_guard_mults(None),
         max_table_entries=DEFAULT_GUARD_ENTRIES,
     )
     wall_time_ms = (time.perf_counter() - start) * 1000.0
@@ -163,7 +173,8 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     net = _load(args.file)
-    report = run_benchmark(net, _parse_strategies(args.strategies), guard_mults=args.guard_mults)
+    strategies = _parse_strategies(args.strategies)
+    report = run_benchmark(net, strategies, guard_mults=_guard_mults(args.guard_mults))
     doc = report.to_json(include_timings=True)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
@@ -194,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="expand noisy-max nodes and report sizes")
     p.add_argument("file")
     p.add_argument("--strategy", default="all", help=f"one of {STRATEGY_NAMES} or 'all'")
-    p.add_argument("--report", choices=["sizes"], default="sizes")
     p.set_defaults(handler=cmd_expand)
 
     p = sub.add_parser("infer", help="answer a posterior query")
@@ -221,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="all")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
-    p.add_argument("--guard-mults", type=int, default=default_guard_mults())
+    p.add_argument("--guard-mults", default=None, metavar="N")
     p.set_defaults(handler=cmd_bench)
 
     return parser
@@ -231,22 +241,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (NetworkError, CliError, InferenceError) as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return 2 if exc.code == "usage" else 1
-    except AgreementError as exc:
-        doc = {
-            "error": "agreement-error",
-            "message": str(exc),
-            "query": exc.query,
-            "deviation": exc.deviation,
-        }
-        print(json.dumps(doc), file=sys.stderr)
-        return 1
-    except (GuardExceededError, ValueError) as exc:
-        code = "guard-exceeded" if isinstance(exc, GuardExceededError) else "inference-error"
-        print(json.dumps({"error": code, "message": str(exc)}), file=sys.stderr)
-        return 1
+    except (NetworkError, CliError, InferenceError, GuardExceededError, AgreementError) as exc:
+        doc = {"error": exc.code, "message": str(exc)}
+        if isinstance(exc, AgreementError):
+            doc.update(query=exc.query, deviation=exc.deviation)
+    except ValueError as exc:
+        doc = {"error": "inference-error", "message": str(exc)}
+    print(json.dumps(doc), file=sys.stderr)
+    return 2 if doc["error"] == "usage" else 1
 
 
 if __name__ == "__main__":

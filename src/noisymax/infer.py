@@ -3,10 +3,11 @@
 The engine runs on expanded networks (plain factors only) and tolerates
 negative entries everywhere except in the final, fully marginalized target
 table, where tiny negative residue from exact cancellations is clamped to
-zero.  A variable is summed out inside the last product of its bucket, so
-the bucket's joint is never allocated, but the cost counts (scalar
-multiplications, one per joint entry per binary product, and the peak table
-size) still count it, as the paper's cost model does.
+zero.  One kernel, :func:`multiply`, forms every binary product as a batched
+matrix product, and a variable is summed out inside the last product of its
+bucket, so the bucket's joint is never allocated.  Only :func:`eliminate`
+counts cost, as the paper's model does: one scalar multiplication per entry
+of each binary product's joint, and the peak table size, joints included.
 
 ``brute_force_joint`` answers the same queries from the original network by
 enumerating the full joint; it shares no code path with elimination and acts
@@ -73,8 +74,10 @@ class Query:
 
 @dataclass
 class EliminationStats:
-    """``multiplications`` and ``peak_table_entries`` are the cost model's
-    counts for each product's joint, not what is allocated."""
+    """What :func:`eliminate` did.  ``multiplications`` and
+    ``peak_table_entries`` are the cost model's counts, taken from each
+    binary product's joint whether or not it is allocated; nothing else
+    counts them."""
 
     multiplications: int = 0
     peak_table_entries: int = 0
@@ -84,77 +87,40 @@ class EliminationStats:
     min_unnormalized: float = 0.0
 
 
-def multiply(
-    a: Factor, b: Factor, stats: EliminationStats | None = None, sum_out: int | None = None
-) -> Factor:
-    """Pointwise product, with ``sum_out`` (if given) summed out of it
-    without allocating the joint: out of the operand that alone holds it,
-    or inside :func:`_contract`.  Otherwise the output scope is ``a``'s
-    followed by ``b``'s new variables.  ``stats`` counts the joint's entries
-    either way."""
-    a_pos = {v: i for i, v in enumerate(a.scope)}
-    b_pos = {v: j for j, v in enumerate(b.scope)}
-    joint = a.values.size
-    for v, j in b_pos.items():
-        n = b.values.shape[j]
-        i = a_pos.get(v)
-        if i is None:
-            joint *= n
-        elif a.values.shape[i] != n:
-            raise ValueError(
-                f"domain size mismatch for shared variable {v}: {a.values.shape[i]} vs {n}"
-            )
-    if stats is not None:
-        stats.multiplications += joint
-        if joint > stats.peak_table_entries:
-            stats.peak_table_entries = joint
-    if sum_out is not None:
-        i, j = a_pos.get(sum_out), b_pos.get(sum_out)
-        if i is not None and j is not None:
-            return _contract(a, b, a_pos, b_pos, sum_out)
-        if i is not None:
-            a = _sum_axis(a, i)  # a_pos still answers membership for b's variables
-        elif j is not None:
-            b = _sum_axis(b, j)
-            b_pos = {v: k for k, v in enumerate(b.scope)}
-        else:
-            raise ValueError(f"variable {sum_out} in neither scope {a.scope} nor {b.scope}")
-    new = [v for v in b.scope if v not in a_pos]
-    out_scope = a.scope + tuple(new)
-    a_vals = a.values.reshape(a.values.shape + (1,) * len(new))
-    order = [b_pos[v] for v in out_scope if v in b_pos]
-    b_vals = b.values.transpose(order) if order else b.values
-    b_shape = tuple(b.values.shape[b_pos[v]] if v in b_pos else 1 for v in out_scope)
-    return Factor._of(out_scope, a_vals * b_vals.reshape(b_shape))
-
-
-def _contract(a: Factor, b: Factor, a_pos: dict, b_pos: dict, v: int) -> Factor:
-    """``a`` times ``b`` summed over ``v``, which both hold, as one
-    ``(batch, a-only, v) @ (batch, v, b-only)`` matrix product, batch being
-    the other shared variables; the output scope needs no transpose back."""
-    batch = [u for u in a.scope if u in b_pos and u != v]
+def multiply(a: Factor, b: Factor, sum_out: int | None = None) -> Factor:
+    """Product of ``a`` and ``b`` with ``sum_out``, which both must hold,
+    summed out inside it: one batched matrix product ``(batch, a-own, v) @
+    (batch, v, b-own)``, batch being the other shared variables and ``v``
+    ``sum_out``'s axis, of size 1 when nothing is summed.  The output scope
+    is batch, then ``a``'s own variables, then ``b``'s.  Every binary product
+    the engine takes is formed here; :func:`eliminate` counts its cost."""
+    a_pos = {u: i for i, u in enumerate(a.scope)}
+    b_pos = {u: j for j, u in enumerate(b.scope)}
+    if sum_out is not None and (sum_out not in a_pos or sum_out not in b_pos):
+        raise ValueError(f"variable {sum_out} not in both scopes {a.scope} and {b.scope}")
+    inner = [] if sum_out is None else [sum_out]
+    batch = [u for u in a.scope if u in b_pos and u != sum_out]
+    for u in batch + inner:
+        na, nb = a.values.shape[a_pos[u]], b.values.shape[b_pos[u]]
+        if na != nb:
+            raise ValueError(f"domain size mismatch for shared variable {u}: {na} vs {nb}")
     a_own = [u for u in a.scope if u not in b_pos]
     b_own = [u for u in b.scope if u not in a_pos]
-    a_vals = a.values.transpose([a_pos[u] for u in batch + a_own + [v]])
-    b_vals = b.values.transpose([b_pos[u] for u in batch + [v] + b_own])
-    nb, n = len(batch), a_vals.shape[-1]
-    out_shape = a_vals.shape[:-1] + b_vals.shape[nb + 1 :]
-    out = np.matmul(
-        a_vals.reshape(-1, math.prod(a_vals.shape[nb:-1]), n),
-        b_vals.reshape(-1, n, math.prod(b_vals.shape[nb + 1 :])),
-    )
-    return Factor._of(tuple(batch + a_own + b_own), out.reshape(out_shape))
-
-
-def _sum_axis(f: Factor, axis: int) -> Factor:
-    return Factor._of(f.scope[:axis] + f.scope[axis + 1 :], f.values.sum(axis=axis))
+    a_vals = a.values.transpose([a_pos[u] for u in batch + a_own + inner])
+    b_vals = b.values.transpose([b_pos[u] for u in batch + inner + b_own])
+    k, i = len(batch), len(batch) + len(inner)
+    n_batch, n_inner = math.prod(b_vals.shape[:k]), math.prod(b_vals.shape[k:i])
+    out = np.matmul(a_vals.reshape(n_batch, -1, n_inner), b_vals.reshape(n_batch, n_inner, -1))
+    shape = a_vals.shape[: a_vals.ndim - len(inner)] + b_vals.shape[i:]
+    return Factor._of(tuple(batch + a_own + b_own), out.reshape(shape))
 
 
 def marginalize(f: Factor, v: int) -> Factor:
     """Sum ``v`` out of the factor.  Negative entries may cancel."""
     if v not in f.scope:
         raise ValueError(f"variable {v} not in scope {f.scope}")
-    return _sum_axis(f, f.scope.index(v))
+    axis = f.scope.index(v)
+    return Factor._of(f.scope[:axis] + f.scope[axis + 1 :], f.values.sum(axis=axis))
 
 
 def restrict(f: Factor, v: int, state: int) -> Factor:
@@ -237,6 +203,8 @@ def eliminate(
         return fids
 
     def product(fids: Sequence[int], sum_out: int | None = None) -> Factor:
+        """Product of the factors in ``fids``, with ``sum_out`` summed out
+        inside the last binary product; counts each product's joint."""
         result = live[fids[0]]
         if len(fids) == 1:
             return result if sum_out is None else marginalize(result, sum_out)
@@ -257,8 +225,9 @@ def eliminate(
                 raise GuardExceededError(
                     f"{stats.multiplications + entries} multiplications exceed the guard", stats
                 )
-            last = fid == fids[-1]
-            result = multiply(result, f, stats, sum_out=sum_out if last else None)
+            stats.multiplications += entries
+            stats.peak_table_entries = max(stats.peak_table_entries, entries)
+            result = multiply(result, f, sum_out if fid == fids[-1] else None)
         return result
 
     for f in factors:

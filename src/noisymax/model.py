@@ -72,6 +72,8 @@ class GuardExceededError(Exception):
     multiplication budget.  ``stats`` carries the partial counts of the
     elimination that tripped it, if any."""
 
+    code = "guard-exceeded"
+
     def __init__(self, message: str, stats=None):
         super().__init__(message)
         self.stats = stats

@@ -53,6 +53,12 @@ class TestValidate:
         assert code == 0
         assert json.loads(out) == {"ok": True, "variables": 3, "nodes": 3}
 
+    def test_guard_variable_is_not_read(self, capsys, monkeypatch, noisy_or_file):
+        monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "abc")
+        code, out, err = run(capsys, "validate", noisy_or_file)
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
     def test_cyclic_file(self, capsys, tmp_path):
         doc = {
             "variables": [{"name": n, "states": ["F", "T"]} for n in "AB"],
@@ -90,7 +96,7 @@ class TestValidate:
 
 class TestExpand:
     def test_sizes_across_strategies(self, capsys, four_cause_file):
-        code, out, err = run(capsys, "expand", four_cause_file, "--report", "sizes")
+        code, out, err = run(capsys, "expand", four_cause_file)
         assert code == 0
         doc = json.loads(out)
         encodings = {
@@ -219,6 +225,16 @@ class TestInfer:
         assert payload["error"] == "guard-exceeded"
         assert "multiplications exceed the guard" in payload["message"]
 
+    def test_malformed_guard_variable_is_a_usage_error(self, capsys, monkeypatch, noisy_or_file):
+        for raw in ("abc", "0", "-3", "1e8"):
+            monkeypatch.setenv("NOISYMAX_GUARD_MULTS", raw)
+            code, out, err = run(capsys, "infer", noisy_or_file, "--target", "E")
+            assert code == 2, raw
+            assert out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "usage", raw
+            assert "NOISYMAX_GUARD_MULTS" in payload["message"]
+
 
 class TestGen:
     def test_written_file_validates_and_is_deterministic(self, capsys, tmp_path):
@@ -296,6 +312,16 @@ class TestBench:
             payload = json.loads(err)
             assert payload["error"] == "usage", argv
             assert "twice" in payload["message"]
+
+    def test_nonpositive_guard_is_a_usage_error(self, capsys, monkeypatch, noisy_or_file):
+        monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "5")
+        for raw in ("0", "-1", "abc", ""):
+            code, out, err = run(capsys, "bench", noisy_or_file, "--guard-mults", raw)
+            assert code == 2, raw
+            assert out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "usage", raw
+            assert "--guard-mults" in payload["message"]
 
     def test_usage_error_exits_nonzero(self, capsys, noisy_or_file):
         for argv in (

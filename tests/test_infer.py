@@ -51,7 +51,7 @@ class TestMultiply:
     def test_scope_order(self):
         a = Factor((3, 1), np.ones((2, 4)))
         b = Factor((2, 1), np.ones((5, 4)))
-        assert multiply(a, b).scope == (3, 1, 2)
+        assert multiply(a, b).scope == (1, 3, 2)
 
     def test_disjoint_scopes_outer_product(self):
         a = Factor((0,), [2.0, 3.0])
@@ -73,12 +73,10 @@ class TestMultiply:
             multiply(a, b)
 
     def test_multiplication_count(self):
-        from noisymax import EliminationStats
-
         stats = EliminationStats()
         a = Factor((0,), [1.0, 2.0])
         b = Factor((1,), [1.0, 2.0, 3.0])
-        multiply(a, b, stats)
+        eliminate([a, b], [0, 1], stats=stats)
         assert stats.multiplications == 6
         assert stats.peak_table_entries == 6
 
@@ -108,19 +106,20 @@ class TestMultiply:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        holder=st.sampled_from(["a", "b", "both"]),
         counts=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
         sizes=st.lists(st.integers(2, 4), min_size=7, max_size=7),
+        summed=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_fused_sum_matches_product_then_marginalize(self, holder, counts, sizes, seed):
-        # counts: shared variables besides v (the batch), a's own, b's own.
-        # All zero with v in both operands gives a scalar result.
+    def test_fused_sum_matches_product_then_marginalize(self, counts, sizes, summed, seed):
+        # The reference is np.einsum over the two value arrays, which shares
+        # no code with the kernel.  counts: shared variables besides v, a's
+        # own, b's own.  All zero with v summed out gives a scalar result.
         rng = np.random.default_rng(seed)
         n_batch, n_a, n_b = counts
         v, batch = 0, list(range(1, 1 + n_batch))
-        a_scope = batch + list(range(10, 10 + n_a)) + ([v] if holder != "b" else [])
-        b_scope = batch + list(range(20, 20 + n_b)) + ([v] if holder != "a" else [])
+        a_scope = batch + list(range(10, 10 + n_a)) + [v]
+        b_scope = batch + list(range(20, 20 + n_b)) + [v]
         size = dict(zip(sorted(set(a_scope + b_scope)), sizes))
 
         def factor(scope):
@@ -128,18 +127,30 @@ class TestMultiply:
             return Factor(scope, rng.normal(size=[size[u] for u in scope]))
 
         a, b = factor(a_scope), factor(b_scope)
-        fused_stats, plain_stats = EliminationStats(), EliminationStats()
-        fused = multiply(a, b, fused_stats, sum_out=v)
-        expected = marginalize(multiply(a, b, plain_stats), v)
-        assert set(fused.scope) == set(expected.scope)
-        aligned = align(fused, expected.scope)
-        assert aligned.values.shape == expected.values.shape
-        np.testing.assert_allclose(aligned.values, expected.values, rtol=0, atol=1e-12)
-        assert fused_stats == plain_stats
+        sum_out = v if summed else None
+        out = multiply(a, b, sum_out)
+        shared = [u for u in a.scope if u in b.scope and u != sum_out]
+        a_own = [u for u in a.scope if u not in b.scope]
+        b_own = [u for u in b.scope if u not in a.scope]
+        assert out.scope == tuple(shared + a_own + b_own)
+        letter = {u: chr(ord("a") + k) for k, u in enumerate(size)}
+        spec = "{},{}->{}".format(
+            *("".join(map(letter.__getitem__, scope)) for scope in (a.scope, b.scope, out.scope))
+        )
+        expected = np.einsum(spec, a.values, b.values)
+        assert out.values.shape == expected.shape
+        np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
 
     def test_sum_out_in_neither_operand(self):
-        with pytest.raises(ValueError, match="neither"):
+        with pytest.raises(ValueError, match="not in both"):
             multiply(Factor((0,), [1.0, 2.0]), Factor((1,), [1.0, 2.0]), sum_out=2)
+
+    def test_sum_out_in_one_operand(self):
+        a = Factor((0, 1), np.ones((2, 3)))
+        b = Factor((1,), [1.0, 2.0, 3.0])
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="not in both"):
+                multiply(x, y, sum_out=0)
 
     def test_fused_bucket_never_allocates_the_joint(self):
         # Buckets (v, x1..x10) and (v, y1..y10): their joint has 2**21
@@ -466,8 +477,8 @@ class TestQueryPosterior:
         joints = []
         real_multiply = infer.multiply
 
-        def recording(a, b, stats=None, sum_out=None):
-            out = real_multiply(a, b, stats, sum_out=sum_out)
+        def recording(a, b, sum_out=None):
+            out = real_multiply(a, b, sum_out)
             new = [n for u, n in zip(b.scope, b.values.shape) if u not in a.scope]
             joints.append(a.size * math.prod(new))
             return out
@@ -744,3 +755,126 @@ class TestCostScaling:
             expanded, _ = expand(net, Strategy.MULTIPLICATIVE)
             _, stats = query_posterior(expanded, Query((n,), {}))
             assert stats.multiplications < 2 ** (n + 1)
+
+
+COST_SPECS = {
+    "bn2o": GeneratorSpec(
+        kind="bn2o", seed=3, diseases=10, findings=9, max_parents=5, effect_domain_size=3
+    ),
+    "bn2o-binary": GeneratorSpec(kind="bn2o", seed=8, diseases=8, findings=7, max_parents=5),
+    "multilevel": GeneratorSpec(
+        kind="multilevel", seed=4, diseases=6, findings=8, max_parents=4, effect_domain_size=3
+    ),
+}
+
+# (network, findings, strategy): (multiplications, peak_table_entries,
+# ordering), as exact literals.  Any change to the cost model, the ordering
+# rule or the evidence pass shows here as a mismatch, not just a bound
+# crossed; only a deliberate change to one of them may update these.
+COST_PINS = {
+    ("bn2o", "top", "trivial"): (2679, 243, (
+        1, 2, 35, 42, 26, 27, 40, 41, 23, 24, 25, 28, 29, 30, 3, 38, 36, 37, 39, 5, 43, 45, 44,
+        6, 46, 19, 20, 21, 22, 4, 7, 8, 9, 31, 32, 33, 34,
+    )),
+    ("bn2o", "lowest", "trivial"): (90, 2, (2, 3, 4, 5, 6, 7, 8, 9)),
+    ("bn2o", "mixed", "trivial"): (1359, 243, (
+        1, 6, 5, 41, 40, 3, 26, 27, 4, 7, 8, 9, 19, 20, 21, 22, 31, 32, 33, 34,
+    )),
+    ("bn2o", "top", "parent-divorcing"): (1773, 54, (
+        1, 2, 41, 51, 27, 29, 30, 33, 42, 49, 50, 52, 19, 20, 23, 21, 22, 25, 26, 28, 31, 32,
+        34, 24, 35, 36, 39, 37, 38, 40, 8, 43, 47, 7, 46, 44, 45, 48, 3, 53, 57, 56, 4, 5, 6, 9,
+        54, 55, 58,
+    )),
+    ("bn2o", "lowest", "parent-divorcing"): (114, 2, (2, 3, 4, 5, 6, 7, 8, 9)),
+    ("bn2o", "mixed", "parent-divorcing"): (905, 81, (
+        1, 6, 5, 50, 49, 3, 29, 30, 4, 7, 8, 9, 19, 20, 35, 36, 23, 39, 21, 22, 24, 37, 38, 40,
+    )),
+    ("bn2o", "top", "temporal"): (1701, 54, (
+        1, 2, 41, 51, 22, 27, 29, 30, 33, 38, 42, 45, 49, 50, 52, 55, 19, 20, 21, 23, 25, 26,
+        28, 31, 32, 34, 24, 35, 36, 37, 39, 40, 8, 43, 48, 7, 44, 46, 47, 3, 53, 58, 4, 5, 6, 9,
+        54, 56, 57,
+    )),
+    ("bn2o", "lowest", "temporal"): (114, 2, (2, 3, 4, 5, 6, 7, 8, 9)),
+    ("bn2o", "mixed", "temporal"): (905, 81, (
+        1, 6, 5, 50, 49, 3, 29, 30, 4, 7, 8, 9, 22, 38, 19, 20, 35, 36, 21, 23, 24, 37, 39, 40,
+    )),
+    ("bn2o", "top", "multiplicative"): (660, 32, (
+        1, 2, 24, 32, 3, 5, 6, 30, 26, 20, 28, 8, 4, 7, 9, 22, 34,
+    )),
+    ("bn2o", "lowest", "multiplicative"): (146, 2, (2, 3, 4, 5, 6, 7, 8, 9)),
+    ("bn2o", "mixed", "multiplicative"): (304, 8, (1, 6, 5, 32, 3, 24, 4, 7, 8, 9, 20, 28)),
+    ("bn2o-binary", "top", "trivial"): (372, 32, (
+        1, 2, 15, 23, 4, 6, 20, 21, 27, 28, 29, 30, 3, 19, 16, 7, 18, 24, 25, 26, 17, 22,
+    )),
+    ("bn2o-binary", "lowest", "trivial"): (58, 2, (0, 2, 3, 4, 6, 7)),
+    ("bn2o-binary", "mixed", "trivial"): (382, 64, (
+        1, 23, 3, 4, 6, 7, 29, 30, 22, 24, 25, 26, 16, 17, 18, 19, 15,
+    )),
+    ("bn2o-binary", "top", "parent-divorcing"): (330, 16, (
+        1, 2, 15, 26, 4, 6, 16, 23, 24, 25, 33, 34, 35, 36, 17, 18, 19, 29, 28, 7, 20, 21, 22,
+        3, 30, 27, 31, 32,
+    )),
+    ("bn2o-binary", "lowest", "parent-divorcing"): (70, 2, (0, 2, 3, 4, 6, 7)),
+    ("bn2o-binary", "mixed", "parent-divorcing"): (310, 16, (
+        1, 26, 3, 4, 6, 7, 25, 35, 36, 15, 16, 17, 18, 19, 28, 29, 22, 32, 20, 31, 30, 21, 27,
+    )),
+    ("bn2o-binary", "top", "temporal"): (310, 16, (
+        1, 2, 15, 26, 4, 6, 16, 19, 23, 24, 25, 29, 33, 34, 35, 36, 17, 18, 20, 30, 28, 7, 22,
+        21, 3, 27, 31, 32,
+    )),
+    ("bn2o-binary", "lowest", "temporal"): (70, 2, (0, 2, 3, 4, 6, 7)),
+    ("bn2o-binary", "mixed", "temporal"): (310, 16, (
+        1, 26, 3, 4, 6, 7, 19, 25, 29, 35, 36, 15, 16, 17, 18, 20, 28, 30, 21, 32, 31, 22, 27,
+    )),
+    ("bn2o-binary", "top", "multiplicative"): (186, 16, (1, 2, 4, 6, 16, 18, 3, 7, 15, 17, 19)),
+    ("bn2o-binary", "lowest", "multiplicative"): (58, 2, (0, 2, 3, 4, 6, 7)),
+    ("bn2o-binary", "mixed", "multiplicative"): (166, 8, (1, 3, 6, 7, 4, 17, 19, 15)),
+    ("multilevel", "top", "trivial"): (516, 81, (
+        1, 26, 27, 29, 28, 4, 19, 22, 23, 25, 24, 30, 31, 32, 33, 2, 3, 18, 17, 21, 20, 5, 14,
+        15, 16,
+    )),
+    ("multilevel", "lowest", "trivial"): (64, 2, (2, 3, 4, 5)),
+    ("multilevel", "mixed", "trivial"): (269, 81, (
+        1, 3, 4, 5, 26, 27, 17, 18, 19, 30, 31, 32, 33,
+    )),
+    ("multilevel", "top", "parent-divorcing"): (521, 54, (
+        1, 20, 24, 28, 30, 31, 33, 32, 4, 21, 25, 26, 29, 27, 34, 35, 38, 36, 37, 39, 2, 3, 16,
+        19, 18, 23, 22, 5, 14, 15, 17,
+    )),
+    ("multilevel", "lowest", "parent-divorcing"): (76, 2, (2, 3, 4, 5)),
+    ("multilevel", "mixed", "parent-divorcing"): (254, 27, (
+        1, 3, 4, 5, 20, 30, 31, 18, 19, 21, 34, 35, 38, 36, 37, 39,
+    )),
+    ("multilevel", "top", "temporal"): (521, 54, (
+        1, 20, 24, 28, 30, 31, 33, 32, 4, 37, 21, 25, 26, 29, 27, 34, 35, 36, 38, 39, 2, 3, 16,
+        19, 18, 23, 22, 5, 14, 15, 17,
+    )),
+    ("multilevel", "lowest", "temporal"): (76, 2, (2, 3, 4, 5)),
+    ("multilevel", "mixed", "temporal"): (254, 27, (
+        1, 3, 4, 5, 20, 30, 31, 37, 18, 19, 21, 34, 35, 36, 38, 39,
+    )),
+    ("multilevel", "top", "multiplicative"): (196, 8, (23, 1, 21, 25, 4, 27, 2, 19, 3, 5, 15, 17)),
+    ("multilevel", "lowest", "multiplicative"): (104, 2, (2, 3, 4, 5)),
+    ("multilevel", "mixed", "multiplicative"): (172, 4, (1, 23, 3, 4, 27, 5, 17)),
+}
+
+
+class TestCostModel:
+    @pytest.mark.parametrize("name", sorted(COST_SPECS))
+    def test_counts_and_orderings_are_pinned(self, name):
+        net = generate(COST_SPECS[name])
+        findings = [v for v in net.variables if v.name.startswith("f")]
+        queries = {
+            "top": Query((0,), {v.id: v.size - 1 for v in findings}),
+            "lowest": Query((1,), {v.id: 0 for v in findings}),
+            "mixed": Query((0, 2), {v.id: (v.size - 1) * (k % 2) for k, v in enumerate(findings)}),
+        }
+        for strategy in ALL_STRATEGIES:
+            expanded, _ = expand(net, strategy)
+            for findings_at, query in queries.items():
+                _, stats = query_posterior(expanded, query)
+                got = (stats.multiplications, stats.peak_table_entries, tuple(stats.ordering))
+                assert got == COST_PINS[name, findings_at, strategy.value], (
+                    findings_at,
+                    strategy,
+                )
