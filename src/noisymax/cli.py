@@ -47,6 +47,13 @@ def _load(path: str) -> Network:
     return parse_network(text)
 
 
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError("io-error", str(exc)) from None
+
+
 def _emit(doc: dict):
     print(json.dumps(doc, indent=2))
 
@@ -165,8 +172,7 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         raise CliError("invalid-spec", str(exc)) from None
     net = generate(spec)
-    text = serialize_network(net)
-    Path(args.out).write_text(text)
+    _write(args.out, serialize_network(net))
     _emit({"written": args.out, "variables": len(net.variables)})
     return 0
 
@@ -177,9 +183,9 @@ def cmd_bench(args) -> int:
     report = run_benchmark(net, strategies, guard_mults=_guard_mults(args.guard_mults))
     doc = report.to_json(include_timings=True)
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        _write(args.out, json.dumps(doc, indent=2) + "\n")
     if args.csv:
-        Path(args.csv).write_text(report.to_csv())
+        _write(args.csv, report.to_csv())
     _emit(
         {
             "queries": report.query_count,

@@ -145,6 +145,66 @@ def align(f: Factor, scope: Sequence[int]) -> Factor:
     return Factor(scope, f.values.transpose(perm))
 
 
+def _min_fill_order(factors: Sequence[Factor], eliminable: set[int]) -> list[int]:
+    """Every ``eliminable`` variable in min-fill order (Kjaerulff 1990), read
+    from scopes and shapes alone: fewest fill edges first, then fewest entries
+    in the product of the factors holding it, then smallest id."""
+    size: dict[int, int] = {}
+    for f in factors:
+        size.update(zip(f.scope, f.values.shape))
+    # Interaction graph: u, w adjacent when a factor holds both.
+    # key[u] = [fill (non-adjacent neighbour pairs), product entries, u].
+    adj: dict[int, set[int]] = {}
+    cover: dict[int, tuple[int, ...]] = {}  # u's largest factor's scope
+    for scope in sorted((f.scope for f in factors), key=len, reverse=True):
+        for u in scope:
+            if u in adj:
+                adj[u].update(scope)
+            else:
+                adj[u] = set(scope)
+                cover[u] = scope
+    key: dict[int, list[int]] = {}
+    for u, nbrs in adj.items():
+        # Every missing pair has an end outside u's largest factor.  nbrs
+        # still holds u, so the product counts u's own size; r has left
+        # pending, so whether adj[r] still holds r changes nothing.
+        fill = 0
+        rest = nbrs.difference(cover[u])
+        if rest:
+            pending = set(nbrs)
+            for r in rest:
+                pending.discard(r)
+                fill += len(pending - adj[r])
+        key[u] = [fill, math.prod(map(size.__getitem__, nbrs)), u]
+        nbrs.discard(u)
+    candidates = {u: key[u] for u in eliminable}
+    order: list[int] = []
+    while candidates:
+        v = min(candidates.values())[2]
+        del candidates[v]
+        nbrs = adj.pop(v)
+        if key[v][0]:
+            for a, b in itertools.combinations(nbrs, 2):
+                if b not in adj[a]:
+                    # Fill edge a-b: it closes a gap for each common neighbour
+                    # and opens one between each end and its other neighbours.
+                    common = adj[a] & adj[b]
+                    for c in common:
+                        key[c][0] -= 1
+                    for x, y in ((a, b), (b, a)):
+                        key[x][0] += len(adj[x]) - len(common)
+                        key[x][1] *= size[y]
+                        adj[x].add(y)
+        for a in nbrs:
+            near, ka = adj[a], key[a]
+            # v formed a missing pair with each of a's neighbours outside the clique.
+            ka[0] -= len(near) - len(nbrs)
+            ka[1] //= size[v]
+            near.discard(v)
+        order.append(v)
+    return order
+
+
 def eliminate(
     factors: Iterable[Factor],
     keep: Sequence[int],
@@ -155,61 +215,58 @@ def eliminate(
     max_multiplications: int | None = None,
     max_table_entries: int | None = None,
 ) -> Factor:
-    """Sum every variable outside ``keep`` out of the product of
-    ``factors``, with each ``evidence`` variable fixed to its observed state,
-    and return the result aligned to ``keep``.
+    """Sum every variable outside ``keep`` out of the product of ``factors``,
+    each ``evidence`` variable fixed to its observed state, and return the
+    result aligned to ``keep``, by bucket elimination (Dechter 1999).
 
-    After evidence is fixed, every state of a variable outside ``keep``
-    whose slice is all zero in a factor evidence (or an earlier drop) sliced
-    is dropped, and a variable left with one state is fixed to it, to a
-    fixpoint: exact for signed factors, since every term with a dead state is
-    zero, and it makes negative findings factorize away as in Heckerman's
-    Quickscore.  ``stats.pruned_states`` counts the dropped states (a
-    variable fixed by the pass counts all of its states).  Only sliced
-    factors are scanned, since a network's own zeros repeat on every query;
-    no table is written.  An evidence variable in ``keep`` or in no factor
-    raises ``ValueError``.
+    Evidence: after evidence is fixed, every state of a variable outside
+    ``keep`` whose slice is all zero in a factor evidence (or an earlier
+    drop) sliced is dropped, and a variable left with one state is fixed to
+    it, to a fixpoint.  This is exact for signed factors, since every term
+    with a dead state is zero, and makes negative findings factorize away as
+    in Heckerman's Quickscore.  ``stats.pruned_states`` counts the dropped
+    states (all of a fixed variable's).  Only sliced factors are scanned,
+    since a network's own zeros repeat on every query; no table is written.
+    An evidence variable in ``keep`` or in no factor raises ``ValueError``.
 
-    Unless an explicit ``order`` is given, the next variable is the one
-    whose elimination adds the fewest fill edges (min-fill, Kjaerulff 1990),
-    ties going to the fewest entries in the product of the live factors
-    containing it (sizes read from the factor shapes), then to the smallest
-    id; both counts are updated edge by edge, never re-measured.  An
-    explicit order must cover every eliminable variable; other entries are
-    skipped.  Products are taken in factor insertion order (given factors
-    first, then each summed-out table), and both guards are checked from the
-    scope sizes before a product is allocated; a tripped guard raises
+    Order: all of it is fixed before any product, by :func:`_min_fill_order`
+    or from an explicit ``order``, which must hold every eliminable variable
+    once (other entries are skipped).
+
+    Buckets: a factor waits in the bucket of its earliest variable in the
+    order, or in a last bucket if it holds kept variables only.  Buckets are
+    multiplied in arrival order, the variable summed out inside the last
+    binary product, and each result is placed by the same rule; the last
+    bucket's product is the answer.  Guards are checked from scope sizes
+    before a product is allocated; a tripped guard raises
     :class:`GuardExceededError` carrying the partial ``stats``.
     """
     if stats is None:
         stats = EliminationStats()
-    live: dict[int, Factor] = {}
+    live = list(factors)
     var_index: dict[int, set[int]] = {}
-    next_fid = 0
-
-    def insert(f: Factor):
-        nonlocal next_fid
-        live[next_fid] = f
+    for i, f in enumerate(live):
         for u in f.scope:
-            var_index.setdefault(u, set()).add(next_fid)
-        next_fid += 1
+            var_index.setdefault(u, set()).add(i)
 
     def fix(v: int, state: int) -> set[int]:
-        """Restrict ``v`` away in place, keeping each factor's id (and so
-        the product order); returns the ids of the factors it sliced."""
-        fids = var_index.pop(v)
-        for fid in fids:
-            live[fid] = restrict(live[fid], v, state)
-        return fids
+        """Restrict ``v`` away in place, keeping each factor's position (and
+        so the product order); returns the positions of the factors it sliced."""
+        held = var_index.pop(v)
+        for i in held:
+            live[i] = restrict(live[i], v, state)
+        return held
 
-    def product(fids: Sequence[int], sum_out: int | None = None) -> Factor:
-        """Product of the factors in ``fids``, with ``sum_out`` summed out
-        inside the last binary product; counts each product's joint."""
-        result = live[fids[0]]
-        if len(fids) == 1:
-            return result if sum_out is None else marginalize(result, sum_out)
-        for fid in fids[1:]:
-            f = live[fid]
+    def product(bucket: Sequence[Factor], sum_out: int | None = None) -> Factor:
+        """Product of ``bucket`` in order, ``sum_out`` summed out inside the
+        last binary product; counts the peak (each joint, or a lone result)."""
+        result, last = bucket[0], len(bucket) - 1
+        if not last:
+            result = result if sum_out is None else marginalize(result, sum_out)
+            stats.peak_table_entries = max(stats.peak_table_entries, result.size)
+            return result
+        for i in range(1, last + 1):
+            f = bucket[i]
             entries = result.values.size
             for u, s in zip(f.scope, f.values.shape):
                 if u not in result.scope:
@@ -218,20 +275,14 @@ def eliminate(
                 raise GuardExceededError(
                     f"intermediate table of {entries} entries exceeds the guard", stats
                 )
-            if (
-                max_multiplications is not None
-                and stats.multiplications + entries > max_multiplications
-            ):
-                raise GuardExceededError(
-                    f"{stats.multiplications + entries} multiplications exceed the guard", stats
-                )
-            stats.multiplications += entries
+            total = stats.multiplications + entries
+            if max_multiplications is not None and total > max_multiplications:
+                raise GuardExceededError(f"{total} multiplications exceed the guard", stats)
+            stats.multiplications = total
             stats.peak_table_entries = max(stats.peak_table_entries, entries)
-            result = multiply(result, f, sum_out if fid == fids[-1] else None)
+            result = multiply(result, f, sum_out if i == last else None)
         return result
 
-    for f in factors:
-        insert(f)
     work: set[int] = set()
     for v, state in (evidence or {}).items():
         if v in keep:
@@ -240,8 +291,8 @@ def eliminate(
             raise ValueError(f"no factor holds evidence variable {v}")
         work |= fix(v, state)
     while work:
-        fid = work.pop()
-        scope, values = live[fid].scope, live[fid].values
+        i = work.pop()
+        scope, values = live[i].scope, live[i].values
         for axis, (v, n) in enumerate(zip(scope, values.shape)):
             # Cheap witness before the full scan: a nonzero entry on the line
             # through the last state of every other axis proves its state live.
@@ -265,87 +316,35 @@ def eliminate(
                 stats.pruned_states += n - len(states)
             break  # this factor changed and is back in ``work``
 
-    size: dict[int, int] = {}
-    for f in live.values():
-        size.update(zip(f.scope, f.values.shape))
     eliminable = set(var_index) - set(keep)
-
-    if order is not None:
-        given = [v for v in order if v in eliminable]
-        missing = eliminable - set(given)
+    if order is None:
+        order = _min_fill_order(live, eliminable)
+    else:
+        order = [v for v in order if v in eliminable]
+        missing = eliminable.difference(order)
         if missing:
             raise ValueError(f"explicit order misses eliminable variables {sorted(missing)}")
-        sequence = iter(given)
-    else:
-        # Interaction graph: u, w adjacent when a live factor holds both.
-        # key[u] = [fill (non-adjacent neighbour pairs), product entries, u].
-        adj: dict[int, set[int]] = {}
-        cover: dict[int, tuple[int, ...]] = {}  # u's largest factor's scope
-        for scope in sorted((f.scope for f in live.values()), key=len, reverse=True):
-            for u in scope:
-                if u in adj:
-                    adj[u].update(scope)
-                else:
-                    adj[u] = set(scope)
-                    cover[u] = scope
-        key: dict[int, list[int]] = {}
-        for u, nbrs in adj.items():
-            # Every missing pair has an end outside u's largest factor.  nbrs
-            # still holds u, so the product counts u's own size; r has left
-            # pending, so whether adj[r] still holds r changes nothing.
-            fill = 0
-            rest = nbrs.difference(cover[u])
-            if rest:
-                pending = set(nbrs)
-                for r in rest:
-                    pending.discard(r)
-                    fill += len(pending - adj[r])
-            key[u] = [fill, math.prod(map(size.__getitem__, nbrs)), u]
-            nbrs.discard(u)
-        candidates = {u: key[u] for u in eliminable}
+        if len(order) > len(eliminable):
+            repeated = sorted({v for v in order if order.count(v) > 1})
+            raise ValueError(f"explicit order repeats variables {repeated}")
 
-    def next_variable() -> int:
-        if order is not None:
-            return next(sequence)
-        v = min(candidates.values())[2]
-        del candidates[v]
-        nbrs = adj.pop(v)
-        if key[v][0]:
-            for a, b in itertools.combinations(nbrs, 2):
-                if b not in adj[a]:
-                    # Fill edge a-b: it closes a gap for each common neighbour
-                    # and opens one between each end and its other neighbours.
-                    common = adj[a] & adj[b]
-                    for c in common:
-                        key[c][0] -= 1
-                    for x, y in ((a, b), (b, a)):
-                        key[x][0] += len(adj[x]) - len(common)
-                        key[x][1] *= size[y]
-                        adj[x].add(y)
-        for a in nbrs:
-            near, ka = adj[a], key[a]
-            # v formed a missing pair with each of a's neighbours outside the clique.
-            ka[0] -= len(near) - len(nbrs)
-            ka[1] //= size[v]
-            near.discard(v)
-        return v
+    last = len(order)
+    position = dict.fromkeys(keep, last)
+    position.update(zip(order, range(last)))
+    buckets: list[list[Factor] | None] = [[] for _ in range(last + 1)]
 
-    while eliminable:
-        v = next_variable()
-        eliminable.discard(v)
-        fids = sorted(var_index[v])
-        summed = product(fids, sum_out=v)
-        for fid in fids:
-            for u in live.pop(fid).scope:
-                var_index[u].discard(fid)
-        if summed.size > stats.peak_table_entries:
-            stats.peak_table_entries = summed.size
-        insert(summed)
+    def place(f: Factor):
+        buckets[min(map(position.__getitem__, f.scope), default=last)].append(f)
+
+    for f in live:
+        place(f)
+    live.clear()  # the buckets hold the factors now
+    for i, v in enumerate(order):
+        place(product(buckets[i], sum_out=v))
+        buckets[i] = None  # free what the bucket held
         stats.ordering.append(v)
 
-    result = product(sorted(live))
-    if result.size > stats.peak_table_entries:
-        stats.peak_table_entries = result.size
+    result = product(buckets[last])
     if set(result.scope) != set(keep):
         raise InferenceError(f"elimination left scope {result.scope}, expected {tuple(keep)}")
     return align(result, keep)

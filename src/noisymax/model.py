@@ -79,6 +79,14 @@ class GuardExceededError(Exception):
         self.stats = stats
 
 
+def _require_probabilities(values: np.ndarray, context: str):
+    """Every entry non-negative and not NaN (``json.loads`` reads ``NaN``,
+    and ``null`` converts to NaN); an infinite entry fails its sum check."""
+    if not (values >= 0).all():
+        kind = "negative" if (values < 0).any() else "non-finite"
+        raise MalformedDistributionError(f"{context}: {kind} probability")
+
+
 @dataclass(frozen=True)
 class Variable:
     """A named discrete variable with an ordered finite domain.
@@ -178,10 +186,7 @@ class LinkTable:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2:
             raise SchemaError(f"link table for cause {self.cause}: rows must be 2-D")
-        if np.any(rows < 0):
-            raise MalformedDistributionError(
-                f"link table for cause {self.cause}: negative probability"
-            )
+        _require_probabilities(rows, f"link table for cause {self.cause}")
         sums = rows.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > LINK_ROW_ATOL):
             bad = int(np.argmax(np.abs(sums - 1.0)))
@@ -233,7 +238,8 @@ class NoisyMaxCpd:
             leak = np.asarray(leak, dtype=float)
             if leak.ndim != 1:
                 raise SchemaError(f"noisy-max node {self.effect}: leak must be a vector")
-            if np.any(leak < 0) or abs(leak.sum() - 1.0) > LINK_ROW_ATOL:
+            _require_probabilities(leak, f"noisy-max node {self.effect}: leak")
+            if abs(leak.sum() - 1.0) > LINK_ROW_ATOL:
                 raise MalformedDistributionError(
                     f"noisy-max node {self.effect}: leak is not a distribution"
                 )
@@ -264,10 +270,7 @@ class TableCpd:
         if not self.factor.scope:
             raise SchemaError("table node: empty scope")
         values = self.factor.values
-        if np.any(values < 0):
-            raise MalformedDistributionError(
-                f"table for variable {self.child}: negative probability"
-            )
+        _require_probabilities(values, f"table for variable {self.child}")
         sums = values.sum(axis=-1)
         if np.any(np.abs(sums - 1.0) > TABLE_SLICE_ATOL):
             raise MalformedDistributionError(
@@ -418,6 +421,13 @@ def _as_state_list(value, context: str) -> list:
     return value
 
 
+def _floats(value, context: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{context}: {exc}") from None
+
+
 def parse_network(text: str) -> Network:
     """Parse and validate a network document (see :func:`serialize_network`
     for the schema).  Raises a :class:`NetworkError` subclass on any defect:
@@ -466,7 +476,7 @@ def parse_network(text: str) -> Network:
             scope = tuple(parents) + (child,)
             sizes = tuple(variables[v].size for v in scope)
             try:
-                factor = Factor.from_flat(scope, sizes, cpd["values"])
+                factor = Factor.from_flat(scope, sizes, _floats(cpd["values"], context))
             except ValueError as exc:
                 raise SchemaError(f"{context}: {exc}") from None
             nodes.append(TableCpd(factor))
@@ -479,10 +489,12 @@ def parse_network(text: str) -> Network:
                 f"{context}.cpd: one link table per cause",
             )
             links = tuple(
-                LinkTable(cause, np.asarray(rows, dtype=float))
-                for cause, rows in zip(causes, raw_links)
+                LinkTable(cause, _floats(rows, f"{context}.cpd.links[{k}]"))
+                for k, (cause, rows) in enumerate(zip(causes, raw_links))
             )
             leak = cpd.get("leak")
+            if leak is not None:
+                leak = _floats(leak, f"{context}.cpd.leak")
             nodes.append(NoisyMaxCpd(child, causes, links, leak))
         else:
             raise SchemaError(f"{context}.cpd: unknown type {kind!r}")

@@ -93,6 +93,26 @@ class TestValidate:
         assert code != 0
         assert json.loads(err)["error"] == "malformed-distribution"
 
+    @pytest.mark.parametrize(
+        "node, key, value, code",
+        [
+            (0, "values", [float("nan"), 1.0], "malformed-distribution"),
+            (2, "links", [[[1, 0], ["x", 1]], [[1, 0], [0.4, 0.6]]], "schema-error"),
+        ],
+    )
+    def test_bad_numbers_are_rejected_before_inference(
+        self, capsys, tmp_path, node, key, value, code
+    ):
+        doc = json.loads(serialize_network(noisy_or_network()))
+        doc["nodes"][node]["cpd"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN is written as the bare token NaN
+        for argv in (["validate", str(path)], ["infer", str(path), "--target", "E"]):
+            exit_code, out, err = run(capsys, *argv)
+            assert exit_code == 1, argv
+            assert out == ""
+            assert json.loads(err)["error"] == code
+
 
 class TestExpand:
     def test_sizes_across_strategies(self, capsys, four_cause_file):
@@ -259,6 +279,25 @@ class TestGen:
         payload = json.loads(err)
         assert payload["error"] == "invalid-spec"
         assert "infeasible" in payload["message"]
+
+
+class TestWriteFailures:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--seed", "1", "-o", "{missing}/net.json"],
+            ["bench", "{net}", "--strategies", "trivial", "--out", "{missing}/report.json"],
+            ["bench", "{net}", "--strategies", "trivial", "--csv", "{missing}/cells.csv"],
+        ],
+    )
+    def test_unwritable_output_is_an_io_error(self, capsys, tmp_path, noisy_or_file, argv):
+        missing = tmp_path / "no-such-dir"
+        argv = [a.format(missing=missing, net=noisy_or_file) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "io-error"
+        assert "no-such-dir" in payload["message"]
 
 
 class TestBench:

@@ -169,6 +169,25 @@ class TestMultiply:
         assert stats.peak_table_entries == 2**21
         assert peak < 2**21 * 8
 
+    def test_each_bucket_is_freed_after_its_product(self):
+        # A chain 0 - 1 - ... - 24 beside a kept block of 16 variables:
+        # summing i out leaves a table over the block and i + 1, 2**17
+        # entries (1 MB of float64).  At most a few may be alive at once.
+        block = tuple(range(100, 116))
+        n = 24
+        rng = np.random.default_rng(7)
+        factors = [Factor((0, *block), rng.random((2,) * 17))]
+        factors += [Factor((i, i + 1), rng.random((2, 2))) for i in range(n)]
+        stats = EliminationStats()
+        tracemalloc.start()
+        try:
+            eliminate(factors, [*block, n], order=range(n), stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.peak_table_entries == 2**18
+        assert peak < n * 2**17 * 8 / 4
+
 
 class TestMarginalize:
     SELECTOR = Factor((5, 6), [[1.0, -1.0], [0.0, 1.0]])
@@ -366,6 +385,11 @@ class TestQueryPosterior:
         expanded, _ = expand(net, Strategy.TRIVIAL)
         with pytest.raises(ValueError, match="misses"):
             query_posterior(expanded, Query((2,), {}), order=[0])
+
+    def test_explicit_order_must_not_repeat_a_variable(self):
+        factors = [Factor((0, 1), np.ones((2, 2))), Factor((1, 2), np.ones((2, 2)))]
+        with pytest.raises(ValueError, match=r"repeats variables \[1\]"):
+            eliminate(factors, [0], order=[1, 1, 2])
 
     def test_barren_chain_is_pruned(self):
         half = np.full((2, 2), 0.5)

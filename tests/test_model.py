@@ -24,6 +24,7 @@ from noisymax import (
 from noisymax.model import node_parents
 from helpers import noisy_or_network
 
+NAN, INF = float("nan"), float("inf")
 
 NOISY_OR_DOC = {
     "variables": [
@@ -132,6 +133,41 @@ class TestParse:
         doc = json.loads(doc_text())
         doc["nodes"][2]["cpd"]["links"][0][1] = [0.1, 0.8]
         with pytest.raises(MalformedDistributionError):
+            parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "node, key, value, message",
+        [
+            (0, "values", [NAN, 1.0], "non-finite"),
+            (0, "values", [INF, 0.0], "do not sum to 1"),
+            (2, "links", [[[1, 0], [NAN, 1.0]], [[1, 0], [0.4, 0.6]]], "non-finite"),
+            (2, "links", [[[1, 0], [INF, 0.0]], [[1, 0], [0.4, 0.6]]], "row 1 sums to"),
+            (2, "leak", [NAN, 1.0], "non-finite"),
+            (2, "leak", [None, 1.0], "non-finite"),
+            (2, "leak", [INF, -INF], "negative"),
+        ],
+    )
+    def test_non_finite_probability(self, node, key, value, message):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back.
+        doc = json.loads(doc_text())
+        doc["nodes"][node]["cpd"][key] = value
+        with pytest.raises(MalformedDistributionError, match=message):
+            parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("links", [[[1, 0], ["x", 1]], [[1, 0], [0.4, 0.6]]]),
+            ("links", [[[1, 0], [1]], [[1, 0], [0.4, 0.6]]]),
+            ("links", [[[1, 0], [{}, 1]], [[1, 0], [0.4, 0.6]]]),
+            ("leak", ["x", 1]),
+            ("leak", [[1], [0, 0]]),
+        ],
+    )
+    def test_malformed_link_numbers_are_schema_errors(self, key, value):
+        doc = json.loads(doc_text())
+        doc["nodes"][2]["cpd"][key] = value
+        with pytest.raises(SchemaError, match=rf"nodes\[2\]\.cpd\.{key}"):
             parse_network(json.dumps(doc))
 
     def test_syntax_error_reports_position(self):
