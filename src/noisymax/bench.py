@@ -12,8 +12,10 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .factorize import ExpandedNetwork, Strategy, expand
 from .infer import Query, query_posterior
@@ -172,7 +174,8 @@ class BenchCell:
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Per-cell results plus decade histograms and totals.
+    """Per-cell results; the decade histograms and totals are read from the
+    cells, per strategy in ``strategies`` order.
 
     Everything except wall-clock times is a deterministic function of the
     inputs; :meth:`to_json` keeps times in a separate field so reports can
@@ -180,32 +183,41 @@ class BenchReport:
     """
 
     cells: tuple[BenchCell, ...]
-    histograms: dict
-    totals: dict
+    strategies: tuple[str, ...]
     query_count: int
 
-    def to_json(self, include_timings: bool = True) -> dict:
-        doc = {
+    @property
+    def histograms(self) -> dict[str, dict[str, int]]:
+        """Cells per decade of multiplications, ascending, then ``aborted``."""
+        hist: dict[str, dict[str, int]] = {s: {} for s in self.strategies}
+        for c in sorted(self.cells, key=lambda c: (c.status != "ok", c.multiplications)):
+            bucket = _decade_bucket(c.multiplications) if c.status == "ok" else "aborted"
+            hist[c.strategy][bucket] = hist[c.strategy].get(bucket, 0) + 1
+        return hist
+
+    @property
+    def totals(self) -> dict[str, dict[str, int]]:
+        """Multiplications summed over completed cells, and the count of
+        completed and aborted cells."""
+        totals = {s: {"multiplications": 0, "completed": 0, "aborted": 0} for s in self.strategies}
+        for c in self.cells:
+            if c.status == "ok":
+                totals[c.strategy]["multiplications"] += c.multiplications
+                totals[c.strategy]["completed"] += 1
+            else:
+                totals[c.strategy]["aborted"] += 1
+        return totals
+
+    def to_json(self) -> dict:
+        return {
             "query_count": self.query_count,
             "cells": [
-                {
-                    "query": c.query,
-                    "strategy": c.strategy,
-                    "multiplications": c.multiplications,
-                    "peak_table_entries": c.peak_table_entries,
-                    "relevant_vars": c.relevant_vars,
-                    "pruned_states": c.pruned_states,
-                    "status": c.status,
-                    "reason": c.reason,
-                }
-                for c in self.cells
+                {k: v for k, v in asdict(c).items() if k != "time_ms"} for c in self.cells
             ],
             "histograms": self.histograms,
             "totals": self.totals,
+            "cell_times_ms": [c.time_ms for c in self.cells],
         }
-        if include_timings:
-            doc["cell_times_ms"] = [c.time_ms for c in self.cells]
-        return doc
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -306,14 +318,9 @@ def run_benchmark(
             nets[strategy], _ = expand(net, strategy)
 
     cells: list[BenchCell] = []
-    counts: dict[str, dict[str, int]] = {s.value: {} for s in strategies}
-    totals: dict[str, dict[str, int]] = {
-        s.value: {"multiplications": 0, "completed": 0, "aborted": 0} for s in strategies
-    }
-
     for query in query_list:
         label = _query_label(net, query)
-        answers: list[Factor] = []
+        answers: list[np.ndarray] = []
         for strategy in strategies:
             start = time.perf_counter()
             try:
@@ -324,23 +331,14 @@ def run_benchmark(
                     max_table_entries=guard_entries,
                 )
                 status, reason = "ok", None
+                answers.append(posterior.values)
             except GuardExceededError as exc:
                 stats, status, reason = exc.stats, "aborted", str(exc)
             elapsed = (time.perf_counter() - start) * 1000.0
-            key = strategy.value
-            if status == "ok":
-                answers.append(posterior)
-                bucket = _decade_bucket(stats.multiplications)
-                totals[key]["multiplications"] += stats.multiplications
-                totals[key]["completed"] += 1
-            else:
-                bucket = "aborted"
-                totals[key]["aborted"] += 1
-            counts[key][bucket] = counts[key].get(bucket, 0) + 1
             cells.append(
                 BenchCell(
                     label,
-                    key,
+                    strategy.value,
                     stats.multiplications,
                     stats.peak_table_entries,
                     stats.relevant_vars,
@@ -351,19 +349,9 @@ def run_benchmark(
                 )
             )
         if len(answers) > 1:
-            worst = 0.0
-            for i in range(len(answers)):
-                for j in range(i + 1, len(answers)):
-                    dev = float(abs(answers[i].values - answers[j].values).max())
-                    worst = max(worst, dev)
+            # The largest spread per entry is the worst pairwise deviation.
+            worst = float(np.ptp(np.stack(answers), axis=0).max())
             if worst > AGREEMENT_ATOL:
                 raise AgreementError(label, worst)
 
-    def _bucket_sort_key(bucket: str):
-        return (1, 0) if bucket == "aborted" else (0, int(bucket.split("-")[0]))
-
-    histograms = {
-        s: {b: n for b, n in sorted(c.items(), key=lambda kv: _bucket_sort_key(kv[0]))}
-        for s, c in counts.items()
-    }
-    return BenchReport(tuple(cells), histograms, totals, len(query_list))
+    return BenchReport(tuple(cells), tuple(s.value for s in strategies), len(query_list))

@@ -54,6 +54,20 @@ def _write(path: str, text: str):
         raise CliError("io-error", str(exc)) from None
 
 
+def _check_writable(path: str):
+    """Raise ``io-error`` now if ``path`` cannot be written, without
+    truncating an existing file or leaving a new one behind."""
+    target = Path(path)
+    existed = target.exists()
+    try:
+        with target.open("a"):
+            pass
+        if not existed:
+            target.unlink()
+    except OSError as exc:
+        raise CliError("io-error", str(exc)) from None
+
+
 def _emit(doc: dict):
     print(json.dumps(doc, indent=2))
 
@@ -180,10 +194,13 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     net = _load(args.file)
     strategies = _parse_strategies(args.strategies)
-    report = run_benchmark(net, strategies, guard_mults=_guard_mults(args.guard_mults))
-    doc = report.to_json(include_timings=True)
+    guard_mults = _guard_mults(args.guard_mults)
+    for path in (args.out, args.csv):
+        if path:
+            _check_writable(path)
+    report = run_benchmark(net, strategies, guard_mults=guard_mults)
     if args.out:
-        _write(args.out, json.dumps(doc, indent=2) + "\n")
+        _write(args.out, json.dumps(report.to_json(), indent=2) + "\n")
     if args.csv:
         _write(args.csv, report.to_csv())
     _emit(

@@ -32,8 +32,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from typing import Callable, Iterator, Mapping
+from functools import cached_property, reduce
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,7 +65,8 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """Factors and auxiliary variables produced for one noisy-max node.
+    """Factors and auxiliary variables produced for one source node (a
+    table node is its own single factor).
 
     ``encoding_entry_count`` counts only the machinery tables (max tables or
     the effect selector), not tables restating knowledge-engineer input;
@@ -75,7 +76,10 @@ class ExpansionResult:
     factors: tuple[Factor, ...]
     auxiliary_variables: tuple[Variable, ...]
     encoding_entry_count: int
-    total_entry_count: int
+
+    @property
+    def total_entry_count(self) -> int:
+        return sum(f.size for f in self.factors)
 
 
 def _contribution_rows(cpd: NoisyMaxCpd) -> list[tuple[int | None, np.ndarray]]:
@@ -244,27 +248,23 @@ def _multiplicative(
 
 def expand_cpd(
     cpd: NoisyMaxCpd,
-    variables: Mapping[int, Variable],
+    variables: Sequence[Variable] | Mapping[int, Variable],
     strategy: Strategy,
-    id_base: int | None = None,
 ) -> ExpansionResult:
-    """Expand one noisy-max node under ``strategy``.  Auxiliary ids start at
-    ``id_base`` (default: one past the largest id in ``variables``).  A lone
+    """Expand one noisy-max node under ``strategy``.  ``variables`` holds
+    ids 0..n-1, by position or by key; auxiliary ids start at n.  A lone
     contribution is its own conditional table under every strategy."""
     contribs = _contribution_rows(cpd)
     if len(contribs) == 1:
         (cause, rows), = contribs
-        factor = Factor((cause, cpd.effect), rows)
-        return ExpansionResult((factor,), (), 0, factor.size)
+        return ExpansionResult((Factor((cause, cpd.effect), rows),), (), 0)
     effect = variables[cpd.effect]
-    fresh = itertools.count(max(variables) + 1 if id_base is None else id_base)
+    fresh = itertools.count(len(variables))
     if strategy is Strategy.MULTIPLICATIVE:
         factors, aux_vars, encoding = _multiplicative(effect, contribs, fresh)
     else:
         factors, aux_vars, encoding = _max_tree(effect, contribs, fresh, _SPLITS[strategy])
-    return ExpansionResult(
-        tuple(factors), tuple(aux_vars), encoding, sum(f.size for f in factors)
-    )
+    return ExpansionResult(tuple(factors), tuple(aux_vars), encoding)
 
 
 def encoding_entries(strategy: Strategy, n_contributions: int, m: int) -> int:
@@ -283,59 +283,24 @@ def encoding_entries(strategy: Strategy, n_contributions: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class SizeRow:
-    child: str
-    strategy: str
-    encoding_entries: int
-    total_entries: int
-    auxiliary_count: int
-
-
-@dataclass(frozen=True)
-class SizeReport:
-    """Per-node size accounting for one expansion pass."""
-
-    strategy: Strategy
-    rows: tuple[SizeRow, ...]
-
-    @property
-    def encoding_total(self) -> int:
-        return sum(r.encoding_entries for r in self.rows)
-
-    @property
-    def entry_total(self) -> int:
-        return sum(r.total_entries for r in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "nodes": [
-                {
-                    "child": r.child,
-                    "strategy": r.strategy,
-                    "encoding_entries": r.encoding_entries,
-                    "total_entries": r.total_entries,
-                    "auxiliary_count": r.auxiliary_count,
-                }
-                for r in self.rows
-            ],
-            "totals": {
-                "encoding_entries": self.encoding_total,
-                "total_entries": self.entry_total,
-            },
-        }
-
-
-@dataclass(frozen=True)
 class ExpandedNetwork:
-    """A plain factor network: the original variables plus any auxiliary
-    variables, one factor group per original node.  Factors may hold
-    negative entries; this container has no normalization invariants."""
+    """A plain factor network: ``nodes[i]`` is the expansion of source node
+    ``i``, and the variables are the original ones followed by each node's
+    auxiliaries.  Factors may hold negative entries; this container has no
+    normalization invariants."""
 
     source: Network
-    variables: Mapping[int, Variable]
-    factors: tuple[Factor, ...]
-    groups: tuple[tuple[int, ...], ...]  # per original node, its factors' indices
+    strategy: Strategy
+    nodes: tuple[ExpansionResult, ...]
+
+    @cached_property
+    def factors(self) -> tuple[Factor, ...]:
+        return tuple(f for result in self.nodes for f in result.factors)
+
+    @cached_property
+    def variables(self) -> dict[int, Variable]:
+        aux = (v for result in self.nodes for v in result.auxiliary_variables)
+        return {v.id: v for v in itertools.chain(self.source.variables, aux)}
 
     @property
     def original_ids(self) -> range:
@@ -343,11 +308,51 @@ class ExpandedNetwork:
 
     @property
     def auxiliary_ids(self) -> tuple[int, ...]:
-        n = len(self.source.variables)
-        return tuple(vid for vid in self.variables if vid >= n)
+        return tuple(v.id for result in self.nodes for v in result.auxiliary_variables)
 
     def size_of(self, vid: int) -> int:
         return self.variables[vid].size
+
+
+@dataclass(frozen=True)
+class SizeReport:
+    """Per-node size accounting for one expansion pass, read from the
+    expansion of each noisy-max node."""
+
+    expanded: ExpandedNetwork
+
+    @property
+    def rows(self) -> tuple[dict, ...]:
+        net = self.expanded.source
+        return tuple(
+            {
+                "child": net.var(node.effect).name,
+                "strategy": self.expanded.strategy.value,
+                "encoding_entries": result.encoding_entry_count,
+                "total_entries": result.total_entry_count,
+                "auxiliary_count": len(result.auxiliary_variables),
+            }
+            for node, result in zip(net.nodes, self.expanded.nodes)
+            if isinstance(node, NoisyMaxCpd)
+        )
+
+    @property
+    def encoding_total(self) -> int:
+        return sum(r["encoding_entries"] for r in self.rows)
+
+    @property
+    def entry_total(self) -> int:
+        return sum(r["total_entries"] for r in self.rows)
+
+    def to_json(self) -> dict:
+        return {
+            "strategy": self.expanded.strategy.value,
+            "nodes": list(self.rows),
+            "totals": {
+                "encoding_entries": self.encoding_total,
+                "total_entries": self.entry_total,
+            },
+        }
 
 
 def expand(net: Network, strategy: Strategy) -> tuple[ExpandedNetwork, SizeReport]:
@@ -355,33 +360,14 @@ def expand(net: Network, strategy: Strategy) -> tuple[ExpandedNetwork, SizeRepor
     contains only plain factors and preserves the original variable set;
     the report aggregates per-node entry counts (zero rows when the network
     has no noisy-max nodes)."""
-    variables: dict[int, Variable] = {v.id: v for v in net.variables}
-    next_id = len(net.variables)
-    factors: list[Factor] = []
-    groups: list[tuple[int, ...]] = []
-    rows: list[SizeRow] = []
-
+    variables = list(net.variables)
+    nodes = []
     for node in net.nodes:
         if isinstance(node, TableCpd):
-            factors.append(node.factor)
-            groups.append((len(factors) - 1,))
+            nodes.append(ExpansionResult((node.factor,), (), 0))
             continue
-        result = expand_cpd(node, variables, strategy, id_base=next_id)
-        for aux in result.auxiliary_variables:
-            variables[aux.id] = aux
-        next_id += len(result.auxiliary_variables)
-        start = len(factors)
-        factors.extend(result.factors)
-        groups.append(tuple(range(start, len(factors))))
-        rows.append(
-            SizeRow(
-                net.var(node.effect).name,
-                strategy.value,
-                result.encoding_entry_count,
-                result.total_entry_count,
-                len(result.auxiliary_variables),
-            )
-        )
-
-    expanded = ExpandedNetwork(net, variables, tuple(factors), tuple(groups))
-    return expanded, SizeReport(strategy, tuple(rows))
+        result = expand_cpd(node, variables, strategy)
+        variables.extend(result.auxiliary_variables)
+        nodes.append(result)
+    expanded = ExpandedNetwork(net, strategy, tuple(nodes))
+    return expanded, SizeReport(expanded)

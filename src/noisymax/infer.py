@@ -400,7 +400,7 @@ def query_posterior(
     kept = _relevant_ancestors(net, query)
     stats = EliminationStats(relevant_vars=len(kept))
     result = eliminate(
-        [net.factors[i] for child in sorted(kept) for i in net.groups[child]],
+        [f for child in sorted(kept) for f in net.nodes[child].factors],
         query.targets,
         evidence=query.evidence,
         order=order,
@@ -412,10 +412,6 @@ def query_posterior(
     values = result.values
     stats.min_unnormalized = float(values.min())
     max_abs = float(np.abs(values).max())
-    if max_abs == 0.0:
-        raise ZeroPosteriorError(
-            "zero normalization constant: evidence has probability 0, or total cancellation"
-        )
     if stats.min_unnormalized < -NEGATIVE_MASS_RTOL * max_abs:
         raise NegativeMassError(
             f"unnormalized posterior entry {stats.min_unnormalized} below "
@@ -439,13 +435,13 @@ def _broadcast_full(f: Factor, n_vars: int, sizes: Sequence[int]) -> np.ndarray:
     return values.reshape(shape)
 
 
-def brute_force_joint(net: Network, query: Query, guard: int = JOINT_STATE_GUARD) -> Factor:
+def brute_force_joint(net: Network, query: Query) -> Factor:
     """Posterior over the query targets by full joint enumeration of the
     original network (noisy-max nodes expanded through the enumeration
     oracle).  Independent of the elimination engine."""
     sizes = [v.size for v in net.variables]
     n = len(sizes)
-    if math.prod(sizes) > guard:
+    if math.prod(sizes) > JOINT_STATE_GUARD:
         raise GuardExceededError(f"joint state space {math.prod(sizes)} exceeds the guard")
     for t in query.targets:
         if not 0 <= t < n:

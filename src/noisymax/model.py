@@ -191,7 +191,7 @@ class LinkTable:
         if np.any(np.abs(sums - 1.0) > LINK_ROW_ATOL):
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise MalformedDistributionError(
-                f"link table for cause {self.cause}: row {bad} sums to {sums[bad]!r}"
+                f"link table for cause {self.cause}: row {bad} sums to {float(sums[bad])}"
             )
         object.__setattr__(self, "rows", rows)
 
@@ -422,6 +422,15 @@ def _as_state_list(value, context: str) -> list:
 
 
 def _floats(value, context: str) -> np.ndarray:
+    """``value``, nested JSON lists of numbers, as a float array.  Booleans
+    are rejected: numpy would read ``true`` as 1.0."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, bool):
+            raise SchemaError(f"{context}: {str(item).lower()} is not a number")
+        if isinstance(item, list):
+            stack.extend(item)
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -98,6 +98,7 @@ class TestValidate:
         [
             (0, "values", [float("nan"), 1.0], "malformed-distribution"),
             (2, "links", [[[1, 0], ["x", 1]], [[1, 0], [0.4, 0.6]]], "schema-error"),
+            (0, "values", [True, False], "schema-error"),
         ],
     )
     def test_bad_numbers_are_rejected_before_inference(
@@ -298,6 +299,36 @@ class TestWriteFailures:
         payload = json.loads(err)
         assert payload["error"] == "io-error"
         assert "no-such-dir" in payload["message"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_bench_output_is_checked_before_the_grid(
+        self, capsys, monkeypatch, tmp_path, noisy_or_file, flag
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_benchmark", never)
+        target = str(tmp_path / "no-such-dir" / "report")
+        code, out, err = run(capsys, "bench", noisy_or_file, flag, target)
+        assert code == 1
+        assert json.loads(err)["error"] == "io-error"
+
+    def test_failed_run_keeps_an_existing_report(
+        self, capsys, monkeypatch, tmp_path, noisy_or_file
+    ):
+        def disagree(*args, **kwargs):
+            raise AgreementError("E", 1.0)
+
+        monkeypatch.setattr(cli, "run_benchmark", disagree)
+        report, cells = tmp_path / "report.json", tmp_path / "cells.csv"
+        report.write_text("earlier report\n")
+        code, out, err = run(
+            capsys, "bench", noisy_or_file, "--out", str(report), "--csv", str(cells)
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "agreement-error"
+        assert report.read_text() == "earlier report\n"
+        assert not cells.exists()
 
 
 class TestBench:

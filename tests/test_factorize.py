@@ -5,14 +5,17 @@ import pytest
 
 from noisymax import (
     Factor,
+    GeneratorSpec,
     GuardExceededError,
     LinkTable,
     NoisyMaxCpd,
     Strategy,
+    TableCpd,
     Variable,
     encoding_entries,
     expand,
     expand_cpd,
+    generate,
     oracle_cpd,
 )
 from helpers import noisy_or_network, random_noisymax, recover_cpd, three_value_cpd
@@ -432,7 +435,28 @@ class TestNetworkExpand:
         for strategy, encoding in expected.items():
             _, report = expand(net, strategy)
             assert report.encoding_total == encoding
-            assert report.rows[0].child == "e"
+            assert report.rows[0]["child"] == "e"
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_one_record_per_source_node(self, strategy):
+        net = generate(
+            GeneratorSpec(kind="bn2o", seed=3, diseases=4, findings=3, max_parents=3,
+                          effect_domain_size=3)
+        )
+        expanded, report = expand(net, strategy)
+        assert len(expanded.nodes) == len(net.nodes)
+        for node, result in zip(net.nodes, expanded.nodes):
+            if isinstance(node, TableCpd):
+                assert result.factors == (node.factor,)
+                assert result.auxiliary_variables == ()
+            else:
+                assert result.factors[-1].scope[-1] == node.effect
+        assert expanded.factors == tuple(f for r in expanded.nodes for f in r.factors)
+        n = len(net.variables)
+        assert expanded.auxiliary_ids == tuple(range(n, len(expanded.variables)))
+        noisy = [r for node, r in zip(net.nodes, expanded.nodes) if isinstance(node, NoisyMaxCpd)]
+        assert report.encoding_total == sum(r.encoding_entry_count for r in noisy)
+        assert report.entry_total == sum(r.total_entry_count for r in noisy)
 
     def test_aux_ids_are_fresh_and_disjoint(self):
         net = noisy_or_network()

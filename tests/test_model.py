@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,31 @@ class TestParse:
         doc["nodes"][2]["cpd"][key] = value
         with pytest.raises(SchemaError, match=rf"nodes\[2\]\.cpd\.{key}"):
             parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "node, key, value, context",
+        [
+            (0, "values", [True, False], "nodes[0]"),
+            (0, "values", [0.0, True], "nodes[0]"),
+            (2, "links", [[[1, 0], [True, 0]], [[1, 0], [0.4, 0.6]]], "nodes[2].cpd.links[0]"),
+            (2, "leak", [False, True], "nodes[2].cpd.leak"),
+        ],
+        ids=["table", "mixed-table", "link-row", "leak"],
+    )
+    def test_booleans_are_not_probabilities(self, node, key, value, context):
+        doc = json.loads(doc_text())
+        doc["nodes"][node]["cpd"][key] = value
+        message = rf"{re.escape(context)}: (true|false) is not a number"
+        with pytest.raises(SchemaError, match=message):
+            parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("row, total", [([0.1, 1.0], "1.1"), ([INF, 0.0], "inf")])
+    def test_link_row_sum_is_printed_as_a_number(self, row, total):
+        doc = json.loads(doc_text())
+        doc["nodes"][2]["cpd"]["links"][0][1] = row
+        with pytest.raises(MalformedDistributionError) as excinfo:
+            parse_network(json.dumps(doc))
+        assert str(excinfo.value) == f"link table for cause 0: row 1 sums to {total}"
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(NetworkSyntaxError) as excinfo:
