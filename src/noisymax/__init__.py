@@ -12,7 +12,6 @@ from .model import (
     DanglingReferenceError,
     Factor,
     GuardExceededError,
-    LinkTable,
     MalformedDistributionError,
     Network,
     NetworkError,

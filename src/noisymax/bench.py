@@ -22,7 +22,6 @@ from .infer import Query, query_posterior
 from .model import (
     Factor,
     GuardExceededError,
-    LinkTable,
     Network,
     NoisyMaxCpd,
     TableCpd,
@@ -115,11 +114,7 @@ def _random_row(rng: SplitMix64, m: int) -> list[float]:
 
 
 def _random_links(rng: SplitMix64, parents: Sequence[int], sizes: Sequence[int], m: int):
-    links = []
-    for cause in parents:
-        rows = [_random_row(rng, m) for _ in range(sizes[cause])]
-        links.append(LinkTable(cause, rows))
-    return tuple(links)
+    return tuple([_random_row(rng, m) for _ in range(sizes[cause])] for cause in parents)
 
 
 def generate(spec: GeneratorSpec) -> Network:
@@ -257,7 +252,7 @@ def _decade_bucket(mults: int) -> str:
     return f"{10**k}-{10**(k + 1) - 1}"
 
 
-def _query_label(net: Network, query: Query) -> str:
+def query_label(net: Network, query: Query) -> str:
     names = [net.var(t).name for t in query.targets]
     label = ",".join(names)
     if query.evidence:
@@ -319,7 +314,7 @@ def run_benchmark(
 
     cells: list[BenchCell] = []
     for query in query_list:
-        label = _query_label(net, query)
+        label = query_label(net, query)
         answers: list[np.ndarray] = []
         for strategy in strategies:
             start = time.perf_counter()

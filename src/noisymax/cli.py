@@ -16,6 +16,7 @@ from .bench import (
     default_guard_mults,
     generate,
     positive_int,
+    query_label,
     run_benchmark,
 )
 from .factorize import Strategy, expand
@@ -160,7 +161,7 @@ def cmd_infer(args) -> int:
     doc = {"targets": [net.var(t).name for t in targets], "posterior": result}
     if args.stats:
         doc["stats"] = {
-            "query": ",".join(net.var(t).name for t in targets),
+            "query": query_label(net, query),
             "strategy": strategy.value,
             "multiplications": stats.multiplications,
             "peak_table_entries": stats.peak_table_entries,

@@ -85,7 +85,7 @@ class ExpansionResult:
 def _contribution_rows(cpd: NoisyMaxCpd) -> list[tuple[int | None, np.ndarray]]:
     """Per-contribution link rows; the leak appears as a one-row table with
     no cause variable (a virtual always-on cause)."""
-    rows = [(cause, link.rows) for cause, link in zip(cpd.causes, cpd.links)]
+    rows = list(zip(cpd.causes, cpd.links))
     if cpd.leak is not None:
         rows.append((None, cpd.leak.reshape(1, -1)))
     return rows
@@ -208,6 +208,8 @@ def _selector_values(m: int) -> np.ndarray:
     and -1 at effect value j; the all-I pattern contributes +1 at the top
     effect value.  Entries lie in {-1, 0, +1} and sum to one.
     """
+    if m * 2 ** (m - 1) > TABLE_ENTRY_GUARD:
+        raise GuardExceededError(f"selector would hold {m}*2^{m - 1} entries")
     values = np.zeros((2,) * (m - 1) + (m,))
     all_i = (1,) * (m - 1)
     values[all_i + (m - 1,)] = 1.0

@@ -172,39 +172,12 @@ class Factor:
 
 
 @dataclass(frozen=True, eq=False)
-class LinkTable:
-    """Per-cause contribution table: ``rows[c][a]`` is the probability that
-    this cause, in state ``c``, contributes effect value ``a``.
-
-    Every row is a distribution over the effect domain.
-    """
-
-    cause: int
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2:
-            raise SchemaError(f"link table for cause {self.cause}: rows must be 2-D")
-        _require_probabilities(rows, f"link table for cause {self.cause}")
-        sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > LINK_ROW_ATOL):
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise MalformedDistributionError(
-                f"link table for cause {self.cause}: row {bad} sums to {float(sums[bad])}"
-            )
-        object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinkTable):
-            return NotImplemented
-        return self.cause == other.cause and np.array_equal(self.rows, other.rows)
-
-
-@dataclass(frozen=True, eq=False)
 class NoisyMaxCpd:
     """An unexpanded noisy-max node: the effect is distributed as the max of
-    independent per-cause contributions, each drawn from its link table.
+    independent per-cause contributions, each drawn from its link rows.
+    ``links[i][c][a]`` is the probability that ``causes[i]``, in state ``c``,
+    contributes effect value ``a``; every row is a distribution over the
+    effect domain.
 
     The optional ``leak`` is a distribution over the effect domain acting as
     one extra, always-on contribution (a virtual cause with a single state).
@@ -212,12 +185,22 @@ class NoisyMaxCpd:
 
     effect: int
     causes: tuple[int, ...]
-    links: tuple[LinkTable, ...]
+    links: tuple[np.ndarray, ...]
     leak: np.ndarray | None = None
 
     def __post_init__(self):
         causes = tuple(self.causes)
-        links = tuple(self.links)
+        links = tuple(np.asarray(rows, dtype=float) for rows in self.links)
+        for cause, rows in zip(causes, links):
+            if rows.ndim != 2:
+                raise SchemaError(f"link table for cause {cause}: rows must be 2-D")
+            _require_probabilities(rows, f"link table for cause {cause}")
+            sums = rows.sum(axis=1)
+            if np.any(np.abs(sums - 1.0) > LINK_ROW_ATOL):
+                bad = int(np.argmax(np.abs(sums - 1.0)))
+                raise MalformedDistributionError(
+                    f"link table for cause {cause}: row {bad} sums to {float(sums[bad])}"
+                )
         if not causes:
             raise SchemaError(f"noisy-max node {self.effect}: needs at least one cause")
         if len(set(causes)) != len(causes):
@@ -228,11 +211,6 @@ class NoisyMaxCpd:
             raise SchemaError(
                 f"noisy-max node {self.effect}: {len(links)} link tables for {len(causes)} causes"
             )
-        for cause, link in zip(causes, links):
-            if link.cause != cause:
-                raise SchemaError(
-                    f"noisy-max node {self.effect}: link table order does not match causes"
-                )
         leak = self.leak
         if leak is not None:
             leak = np.asarray(leak, dtype=float)
@@ -250,13 +228,14 @@ class NoisyMaxCpd:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NoisyMaxCpd):
             return NotImplemented
-        if self.effect != other.effect or self.causes != other.causes:
-            return False
-        if self.links != other.links:
-            return False
-        if (self.leak is None) != (other.leak is None):
-            return False
-        return self.leak is None or np.array_equal(self.leak, other.leak)
+        # Equal causes imply equally many link tables.
+        return (
+            self.effect == other.effect
+            and self.causes == other.causes
+            and all(np.array_equal(a, b) for a, b in zip(self.links, other.links))
+            and (self.leak is None) == (other.leak is None)
+            and (self.leak is None or np.array_equal(self.leak, other.leak))
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,13 +339,13 @@ class Network:
                     )
             else:
                 m = self.variables[node.effect].size
-                for cause, link in zip(node.causes, node.links):
+                for cause, rows in zip(node.causes, node.links):
                     expected = (self.variables[cause].size, m)
-                    if link.rows.shape != expected:
+                    if rows.shape != expected:
                         raise SchemaError(
                             f"noisy-max {self.variables[child].name!r}: link for "
                             f"{self.variables[cause].name!r} has shape "
-                            f"{link.rows.shape}, expected {expected}"
+                            f"{rows.shape}, expected {expected}"
                         )
                 if node.leak is not None and node.leak.shape != (m,):
                     raise SchemaError(
@@ -498,8 +477,7 @@ def parse_network(text: str) -> Network:
                 f"{context}.cpd: one link table per cause",
             )
             links = tuple(
-                LinkTable(cause, _floats(rows, f"{context}.cpd.links[{k}]"))
-                for k, (cause, rows) in enumerate(zip(causes, raw_links))
+                _floats(rows, f"{context}.cpd.links[{k}]") for k, rows in enumerate(raw_links)
             )
             leak = cpd.get("leak")
             if leak is not None:
@@ -545,7 +523,7 @@ def serialize_network(net: Network) -> str:
             cpd = {
                 "type": "noisy-max",
                 "causes": [names[c] for c in node.causes],
-                "links": [link.rows.tolist() for link in node.links],
+                "links": [rows.tolist() for rows in node.links],
             }
             if node.leak is not None:
                 cpd["leak"] = node.leak.tolist()

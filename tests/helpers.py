@@ -8,7 +8,6 @@ from noisymax import (
     ExpansionResult,
     Factor,
     GeneratorSpec,
-    LinkTable,
     Network,
     NoisyMaxCpd,
     TableCpd,
@@ -32,7 +31,7 @@ def noisy_or_network() -> Network:
         NoisyMaxCpd(
             2,
             (0, 1),
-            (LinkTable(0, [[1, 0], [0.2, 0.8]]), LinkTable(1, [[1, 0], [0.4, 0.6]])),
+            ([[1, 0], [0.2, 0.8]], [[1, 0], [0.4, 0.6]]),
         ),
     )
     return Network(variables, nodes)
@@ -50,8 +49,8 @@ def three_value_cpd():
         2,
         (0, 1),
         (
-            LinkTable(0, [[1, 0, 0], [0.5, 0.3, 0.2]]),
-            LinkTable(1, [[1, 0, 0], [0.4, 0.4, 0.2]]),
+            [[1, 0, 0], [0.5, 0.3, 0.2]],
+            [[1, 0, 0], [0.4, 0.4, 0.2]],
         ),
     )
     return cpd, variables
@@ -78,9 +77,7 @@ def random_noisymax(
         causes.append(i)
     effect = n_causes
     variables[effect] = Variable(effect, "e", tuple(f"a{k}" for k in range(m)))
-    links = tuple(
-        LinkTable(c, random_rows(rng, variables[c].size, m)) for c in causes
-    )
+    links = tuple(random_rows(rng, variables[c].size, m) for c in causes)
     leak = None
     if with_leak:
         leak = random_rows(rng, 1, m)[0]
@@ -120,7 +117,7 @@ def single_effect_network(n: int, seed: int = 0) -> Network:
     links = []
     for i in range(n):
         activation = rng.uniform(0.2, 0.9)
-        links.append(LinkTable(i, [[1, 0], [1 - activation, activation]]))
+        links.append([[1, 0], [1 - activation, activation]])
     nodes = tuple(TableCpd(Factor((i,), [0.95, 0.05])) for i in range(n)) + (
         NoisyMaxCpd(n, tuple(range(n)), tuple(links)),
     )

@@ -139,8 +139,8 @@ def test_criterion_5_noisy_or_reduction():
             assert len(result.factors) == n + 1
             for cause, link, factor in zip(cpd.causes, cpd.links, result.factors):
                 assert factor.scope == (prefix, cause)
-                assert np.array_equal(factor.values[0], link.rows[:, 0])
-                assert np.array_equal(factor.values[1], np.ones(link.rows.shape[0]))
+                assert np.array_equal(factor.values[0], link[:, 0])
+                assert np.array_equal(factor.values[1], np.ones(link.shape[0]))
             selector = result.factors[-1]
             assert selector.scope == (prefix, cpd.effect)
             assert selector.size == 4
@@ -152,7 +152,7 @@ def test_criterion_6_subspace_difference():
         cpd, variables = three_value_cpd()
         result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
         recovered = recover_cpd(result, cpd)
-        rows = [link.rows for link in cpd.links]
+        rows = cpd.links
         for c1 in range(2):
             for c2 in range(2):
                 below_m = rows[0][c1, :2].sum() * rows[1][c2, :2].sum()

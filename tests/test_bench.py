@@ -1,5 +1,6 @@
 """Generators, the deterministic RNG stream, and the benchmark runner."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -64,6 +65,30 @@ class TestGenerate:
         a = serialize_network(generate(self.SPEC))
         b = serialize_network(generate(self.SPEC))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                GeneratorSpec("bn2o", 3, 24, 24, 8, effect_domain_size=3),
+                "d244d2f32ceaf656b1defbb83b0d455b084b4a00c9c535dcfa68323bb3553ca0",
+            ),
+            (
+                GeneratorSpec("bn2o", 2, 30, 40, 10, effect_domain_size=2),
+                "30a34c2a073e64da3fab015a99edcaac1d26bcb75fa66f79e383247777f12e06",
+            ),
+            (
+                GeneratorSpec("multilevel", 3, 16, 40, 6, effect_domain_size=3),
+                "cd3e7443623f16fee7dd5a52ae6514b07329b62bd7061f3ba8401ffa946bfaf1",
+            ),
+        ],
+        ids=["bn2o-24x24-m3", "bn2o-30x40-m2", "multilevel-16x40-m3"],
+    )
+    def test_seed_bytes_are_pinned(self, spec, digest):
+        # The benchmark's networks come from these generators: a change to
+        # the draw order or the serialized form changes every workload.
+        text = serialize_network(generate(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_different_seed_differs(self):
         other = GeneratorSpec(kind="bn2o", seed=2, diseases=5, findings=3, max_parents=5)

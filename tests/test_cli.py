@@ -114,6 +114,25 @@ class TestValidate:
             assert out == ""
             assert json.loads(err)["error"] == code
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda doc: doc["nodes"][2]["cpd"]["links"].__setitem__(0, [1, 0, 0.2, 0.8]),
+             "link table for cause 0: rows must be 2-D"),
+            (lambda doc: doc["variables"][1].__setitem__("name", "C1"),
+             "duplicate variable name 'C1'"),
+        ],
+        ids=["flat-link-rows", "duplicate-variable"],
+    )
+    def test_schema_defects(self, capsys, tmp_path, mutate, message):
+        doc = json.loads(serialize_network(noisy_or_network()))
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert json.loads(err) == {"error": "schema-error", "message": message}
+
 
 class TestExpand:
     def test_sizes_across_strategies(self, capsys, four_cause_file):
@@ -138,6 +157,21 @@ class TestExpand:
         node = doc["reports"][0]["nodes"][0]
         assert node["child"] == "e"
         assert node["auxiliary_count"] == 2
+
+    @pytest.mark.parametrize("command", ["expand", "infer"])
+    def test_oversized_selector_is_a_guard_error(self, capsys, tmp_path, command):
+        # The multiplicative selector of a 40-state effect holds 40 * 2**39
+        # entries; the guard must refuse it before numpy tries to allocate.
+        doc = json.loads(serialize_network(noisy_or_network()))
+        doc["variables"][2]["states"] = [f"l{k}" for k in range(40)]
+        doc["nodes"][2]["cpd"]["links"] = [[[1] + [0] * 39, [0.025] * 40]] * 2
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)] + (["--target", "E"] if command == "infer" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "guard-exceeded"
 
 
 class TestInfer:
@@ -174,6 +208,7 @@ class TestInfer:
         assert "heuristic" not in stats
         assert stats["multiplications"] > 0
         assert "relevant_vars" in stats
+        assert stats["query"] == "C1|E=T"
 
     def test_unknown_target(self, capsys, noisy_or_file):
         code, out, err = run(capsys, "infer", noisy_or_file, "--target", "ghost")

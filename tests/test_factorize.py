@@ -7,7 +7,6 @@ from noisymax import (
     Factor,
     GeneratorSpec,
     GuardExceededError,
-    LinkTable,
     NoisyMaxCpd,
     Strategy,
     TableCpd,
@@ -26,7 +25,7 @@ ALL_STRATEGIES = list(Strategy)
 def binary_causes(n, rows_list, m=2, leak=None):
     variables = {i: Variable(i, f"c{i}", ("F", "T")) for i in range(n)}
     variables[n] = Variable(n, "e", tuple(f"a{k}" for k in range(m)))
-    links = tuple(LinkTable(i, rows) for i, rows in enumerate(rows_list))
+    links = tuple(rows_list)
     return NoisyMaxCpd(n, tuple(range(n)), links, leak), variables
 
 
@@ -37,7 +36,7 @@ class TestOracle:
             0: Variable(0, "c", ("a", "b", "c")),
             1: Variable(1, "e", ("L", "M", "H")),
         }
-        cpd = NoisyMaxCpd(1, (0,), (LinkTable(0, rows),))
+        cpd = NoisyMaxCpd(1, (0,), (rows,))
         table = oracle_cpd(cpd, variables)
         assert table.scope == (0, 1)
         assert np.array_equal(table.values, rows)
@@ -285,8 +284,24 @@ class TestMultiplicative:
             for j, link in enumerate(cpd.links):
                 factor = result.factors[p + j]
                 for c in range(2):
-                    assert factor.values[0, c] == link.rows[c, :prefix_len].sum()
+                    assert factor.values[0, c] == link[c, :prefix_len].sum()
                     assert factor.values[1, c] == 1.0
+
+
+    def test_selector_guard_fires_before_allocation(self, monkeypatch):
+        # 20 * 2**19 entries exceed the 10**7 guard; 19 * 2**18 do not.
+        rows = [[1.0] + [0.0] * 19, [0.05] * 20]
+        cpd, variables = binary_causes(2, [rows] * 2, m=20)
+        monkeypatch.setattr(np, "zeros", None)  # building the selector would fail
+        with pytest.raises(GuardExceededError, match="selector"):
+            expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
+
+    def test_selector_just_under_the_guard_expands(self):
+        rows = [[1.0] + [0.0] * 18, [1 / 19] * 19]
+        cpd, variables = binary_causes(2, [rows] * 2, m=19)
+        result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
+        assert result.encoding_entry_count == 19 * 2**18
+        assert result.encoding_entry_count == encoding_entries(Strategy.MULTIPLICATIVE, 2, 19)
 
 
 class TestReduction:
@@ -298,7 +313,7 @@ class TestReduction:
         prefix = max(max(cpd.causes), cpd.effect) + 1
         factors = []
         for cause, link in zip(cpd.causes, cpd.links):
-            miss = link.rows[:, 0]
+            miss = link[:, 0]
             factors.append(Factor((prefix, cause), np.stack([miss, np.ones_like(miss)])))
         if cpd.leak is not None:
             factors.append(Factor((prefix,), np.array([cpd.leak[0], 1.0])))
@@ -323,7 +338,7 @@ class TestSubspaceDifference:
         cpd, variables = three_value_cpd()
         result = expand_cpd(cpd, variables, Strategy.MULTIPLICATIVE)
         recovered = recover_cpd(result, cpd)
-        cum = [link.rows for link in cpd.links]
+        cum = cpd.links
         for c1 in range(2):
             for c2 in range(2):
                 below_m = cum[0][c1, :2].sum() * cum[1][c2, :2].sum()
@@ -423,7 +438,7 @@ class TestNetworkExpand:
         from noisymax import Network, TableCpd
 
         nodes = tuple(TableCpd(Factor((i,), [0.9, 0.1])) for i in range(4)) + (
-            NoisyMaxCpd(4, (0, 1, 2, 3), tuple(LinkTable(i, rows) for i in range(4))),
+            NoisyMaxCpd(4, (0, 1, 2, 3), tuple(rows for i in range(4))),
         )
         net = Network(variables, nodes)
         expected = {

@@ -100,7 +100,7 @@ class TestMultiply:
             for axis, (cause, link) in enumerate(zip(cpd.causes, cpd.links)):
                 shape = [1] * n
                 shape[axis] = variables[cause].size
-                miss = miss * link.rows[:, 0].reshape(shape)
+                miss = miss * link[:, 0].reshape(shape)
             np.testing.assert_allclose(recovered.values[..., 0], miss, atol=1e-12)
             np.testing.assert_allclose(recovered.values[..., 1], 1 - miss, atol=1e-12)
 
@@ -534,7 +534,7 @@ def _all_negative_posterior(net: Network, disease: int) -> np.ndarray:
     weights = net.nodes[disease].factor.values
     for node in net.nodes:
         if isinstance(node, NoisyMaxCpd) and disease in node.causes:
-            weights = weights * node.links[node.causes.index(disease)].rows[:, 0]
+            weights = weights * node.links[node.causes.index(disease)][:, 0]
     return weights / weights.sum()
 
 

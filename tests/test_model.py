@@ -11,7 +11,6 @@ from noisymax import (
     CycleError,
     DanglingReferenceError,
     Factor,
-    LinkTable,
     MalformedDistributionError,
     Network,
     NetworkSyntaxError,
@@ -127,8 +126,8 @@ class TestParse:
         node = net.nodes[2]
         assert isinstance(node, NoisyMaxCpd)
         assert node.causes == (0, 1)
-        assert node.links[0].rows.shape == (2, 2)
-        assert node.links[0].rows[1, 1] == 0.8
+        assert node.links[0].shape == (2, 2)
+        assert node.links[0][1, 1] == 0.8
 
     def test_link_row_not_normalized(self):
         doc = json.loads(doc_text())
@@ -195,6 +194,18 @@ class TestParse:
         with pytest.raises(MalformedDistributionError) as excinfo:
             parse_network(json.dumps(doc))
         assert str(excinfo.value) == f"link table for cause 0: row 1 sums to {total}"
+
+    def test_flat_link_rows_are_a_schema_error(self):
+        doc = json.loads(doc_text())
+        doc["nodes"][2]["cpd"]["links"][0] = [1, 0, 0.2, 0.8]
+        with pytest.raises(SchemaError, match="link table for cause 0: rows must be 2-D"):
+            parse_network(json.dumps(doc))
+
+    def test_duplicate_variable_name_is_named(self):
+        doc = json.loads(doc_text())
+        doc["variables"][1]["name"] = "C1"
+        with pytest.raises(SchemaError, match="duplicate variable name 'C1'"):
+            parse_network(json.dumps(doc))
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(NetworkSyntaxError) as excinfo:
@@ -263,7 +274,7 @@ class TestRoundTrip:
         variables = tuple(Variable(i, f"c{i}", ("F", "T")) for i in range(4)) + (
             Variable(4, "e", ("L", "M", "H")),
         )
-        links = tuple(LinkTable(i, [[1, 0, 0], [0.5, 0.3, 0.2]]) for i in range(4))
+        links = tuple([[1, 0, 0], [0.5, 0.3, 0.2]] for i in range(4))
         nodes = tuple(TableCpd(Factor((i,), [0.9, 0.1])) for i in range(4)) + (
             NoisyMaxCpd(4, (0, 1, 2, 3), links),
         )
@@ -294,7 +305,7 @@ class TestNodeValidation:
             Variable(0, "c", ("a", "b", "c")),
             Variable(1, "e", ("F", "T")),
         )
-        link = LinkTable(0, [[1, 0], [0.5, 0.5]])
+        link = [[1, 0], [0.5, 0.5]]
         with pytest.raises(SchemaError):
             Network(
                 variables,
@@ -306,4 +317,4 @@ class TestNodeValidation:
 
     def test_leak_must_normalize(self):
         with pytest.raises(MalformedDistributionError):
-            NoisyMaxCpd(1, (0,), (LinkTable(0, [[1, 0], [0.5, 0.5]]),), leak=[0.5, 0.4])
+            NoisyMaxCpd(1, (0,), ([[1, 0], [0.5, 0.5]],), leak=[0.5, 0.4])
