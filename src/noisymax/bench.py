@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .factorize import ExpandedNetwork, Strategy, expand
-from .infer import Query, query_posterior
+from .factorize import TABLE_ENTRY_GUARD, ExpandedNetwork, Strategy, expand
+from .infer import EliminationStats, Query, query_posterior
 from .model import (
     Factor,
     GuardExceededError,
@@ -29,7 +29,6 @@ from .model import (
 )
 
 DEFAULT_GUARD_MULTS = 10**8
-DEFAULT_GUARD_ENTRIES = 10**7
 GUARD_MULTS_ENV = "NOISYMAX_GUARD_MULTS"
 AGREEMENT_ATOL = 1e-9
 
@@ -253,11 +252,11 @@ def _decade_bucket(mults: int) -> str:
 
 
 def query_label(net: Network, query: Query) -> str:
-    names = [net.var(t).name for t in query.targets]
+    names = [net.variables[t].name for t in query.targets]
     label = ",".join(names)
     if query.evidence:
         obs = ",".join(
-            f"{net.var(v).name}={net.var(v).domain[s]}"
+            f"{net.variables[v].name}={net.variables[v].domain[s]}"
             for v, s in sorted(query.evidence.items())
         )
         label = f"{label}|{obs}"
@@ -285,18 +284,20 @@ def run_benchmark(
     queries: Sequence[Query] | None = None,
     *,
     guard_mults: int | None = None,
-    guard_entries: int = DEFAULT_GUARD_ENTRIES,
+    guard_entries: int = TABLE_ENTRY_GUARD,
     expanded: Mapping[Strategy, ExpandedNetwork] | None = None,
 ) -> BenchReport:
     """Run every (query, strategy) cell.  ``queries`` defaults to the
     marginal of every network variable.
 
-    Cells that trip a guard are recorded as aborted, with the partial stats
-    and the guard's message as ``reason``, and are excluded from the totals'
-    multiplications and from the agreement check; any disagreement among
-    completed cells beyond ``AGREEMENT_ATOL`` raises :class:`AgreementError`.
-    ``expanded`` lets callers inject pre-expanded networks (fault injection,
-    reuse across runs).
+    Each strategy is expanded once.  Cells that trip a guard are recorded
+    as aborted, with the partial stats and the guard's message as
+    ``reason``, and are excluded from the totals' multiplications and from
+    the agreement check; every cell of a strategy whose expansion a guard
+    refuses is aborted with that message and zero counts.  Any disagreement
+    among completed cells beyond ``AGREEMENT_ATOL`` raises
+    :class:`AgreementError`.  ``expanded`` lets callers inject pre-expanded
+    networks (fault injection, reuse across runs).
     """
     if guard_mults is None:
         guard_mults = default_guard_mults()
@@ -305,30 +306,38 @@ def run_benchmark(
     else:
         query_list = list(queries)
 
-    nets: dict[Strategy, ExpandedNetwork] = {}
+    # A strategy whose expansion a guard refuses keeps the refusal instead.
+    nets: dict[Strategy, ExpandedNetwork | GuardExceededError] = {}
     for strategy in strategies:
         if expanded is not None and strategy in expanded:
             nets[strategy] = expanded[strategy]
-        else:
+            continue
+        try:
             nets[strategy], _ = expand(net, strategy)
+        except GuardExceededError as exc:
+            nets[strategy] = exc
 
     cells: list[BenchCell] = []
     for query in query_list:
         label = query_label(net, query)
         answers: list[np.ndarray] = []
         for strategy in strategies:
+            target = nets[strategy]
             start = time.perf_counter()
-            try:
-                posterior, stats = query_posterior(
-                    nets[strategy],
-                    query,
-                    max_multiplications=guard_mults,
-                    max_table_entries=guard_entries,
-                )
-                status, reason = "ok", None
-                answers.append(posterior.values)
-            except GuardExceededError as exc:
-                stats, status, reason = exc.stats, "aborted", str(exc)
+            if isinstance(target, GuardExceededError):
+                stats, status, reason = EliminationStats(), "aborted", str(target)
+            else:
+                try:
+                    posterior, stats = query_posterior(
+                        target,
+                        query,
+                        max_multiplications=guard_mults,
+                        max_table_entries=guard_entries,
+                    )
+                    status, reason = "ok", None
+                    answers.append(posterior.values)
+                except GuardExceededError as exc:
+                    stats, status, reason = exc.stats, "aborted", str(exc)
             elapsed = (time.perf_counter() - start) * 1000.0
             cells.append(
                 BenchCell(

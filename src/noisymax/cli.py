@@ -10,7 +10,6 @@ import time
 from pathlib import Path
 
 from .bench import (
-    DEFAULT_GUARD_ENTRIES,
     AgreementError,
     GeneratorSpec,
     default_guard_mults,
@@ -19,7 +18,7 @@ from .bench import (
     query_label,
     run_benchmark,
 )
-from .factorize import Strategy, expand
+from .factorize import TABLE_ENTRY_GUARD, Strategy, expand
 from .infer import InferenceError, Query, query_posterior
 from .model import GuardExceededError, Network, NetworkError, parse_network, serialize_network
 
@@ -126,7 +125,7 @@ def cmd_infer(args) -> int:
         var_name, state_name = item.split("=", 1)
         if var_name not in names:
             raise CliError("unknown-variable", f"unknown evidence variable {var_name!r}")
-        var = net.var(names[var_name])
+        var = net.variables[names[var_name]]
         if state_name not in var.domain:
             raise CliError(
                 "unknown-state", f"variable {var_name!r} has no state {state_name!r}"
@@ -146,19 +145,19 @@ def cmd_infer(args) -> int:
         expanded,
         query,
         max_multiplications=_guard_mults(None),
-        max_table_entries=DEFAULT_GUARD_ENTRIES,
+        max_table_entries=TABLE_ENTRY_GUARD,
     )
     wall_time_ms = (time.perf_counter() - start) * 1000.0
 
     if len(targets) == 1:
-        domain = net.var(targets[0]).domain
+        domain = net.variables[targets[0]].domain
         result = {state: float(p) for state, p in zip(domain, posterior.values)}
     else:
-        domains = [net.var(t).domain for t in targets]
+        domains = [net.variables[t].domain for t in targets]
         result = []
         for assignment, p in zip(itertools.product(*domains), posterior.values.ravel()):
             result.append({"assignment": list(assignment), "probability": float(p)})
-    doc = {"targets": [net.var(t).name for t in targets], "posterior": result}
+    doc = {"targets": [net.variables[t].name for t in targets], "posterior": result}
     if args.stats:
         doc["stats"] = {
             "query": query_label(net, query),

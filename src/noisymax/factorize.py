@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,7 +91,7 @@ def _contribution_rows(cpd: NoisyMaxCpd) -> list[tuple[int | None, np.ndarray]]:
     return rows
 
 
-def oracle_cpd(cpd: NoisyMaxCpd, variables: Mapping[int, Variable]) -> Factor:
+def oracle_cpd(cpd: NoisyMaxCpd, variables: Sequence[Variable]) -> Factor:
     """Exact conditional table P(effect | causes) by brute-force enumeration
     of all per-cause contribution combinations.  Scope is
     ``causes + (effect,)``; every child slice sums to one.
@@ -250,11 +250,11 @@ def _multiplicative(
 
 def expand_cpd(
     cpd: NoisyMaxCpd,
-    variables: Sequence[Variable] | Mapping[int, Variable],
+    variables: Sequence[Variable],
     strategy: Strategy,
 ) -> ExpansionResult:
-    """Expand one noisy-max node under ``strategy``.  ``variables`` holds
-    ids 0..n-1, by position or by key; auxiliary ids start at n.  A lone
+    """Expand one noisy-max node under ``strategy``.  ``variables[i]`` is
+    variable ``i`` for ids 0..n-1; auxiliary ids start at n.  A lone
     contribution is its own conditional table under every strategy."""
     contribs = _contribution_rows(cpd)
     if len(contribs) == 1:
@@ -287,9 +287,10 @@ def encoding_entries(strategy: Strategy, n_contributions: int, m: int) -> int:
 @dataclass(frozen=True)
 class ExpandedNetwork:
     """A plain factor network: ``nodes[i]`` is the expansion of source node
-    ``i``, and the variables are the original ones followed by each node's
-    auxiliaries.  Factors may hold negative entries; this container has no
-    normalization invariants."""
+    ``i``, and ``variables`` holds the original variables followed by each
+    node's auxiliaries in node order, so ``variables[i].id == i`` as in a
+    :class:`Network`.  Factors may hold negative entries; this container
+    has no normalization invariants."""
 
     source: Network
     strategy: Strategy
@@ -300,20 +301,13 @@ class ExpandedNetwork:
         return tuple(f for result in self.nodes for f in result.factors)
 
     @cached_property
-    def variables(self) -> dict[int, Variable]:
+    def variables(self) -> tuple[Variable, ...]:
         aux = (v for result in self.nodes for v in result.auxiliary_variables)
-        return {v.id: v for v in itertools.chain(self.source.variables, aux)}
-
-    @property
-    def original_ids(self) -> range:
-        return range(len(self.source.variables))
+        return self.source.variables + tuple(aux)
 
     @property
     def auxiliary_ids(self) -> tuple[int, ...]:
         return tuple(v.id for result in self.nodes for v in result.auxiliary_variables)
-
-    def size_of(self, vid: int) -> int:
-        return self.variables[vid].size
 
 
 @dataclass(frozen=True)
@@ -328,7 +322,7 @@ class SizeReport:
         net = self.expanded.source
         return tuple(
             {
-                "child": net.var(node.effect).name,
+                "child": net.variables[node.effect].name,
                 "strategy": self.expanded.strategy.value,
                 "encoding_entries": result.encoding_entry_count,
                 "total_entries": result.total_entry_count,

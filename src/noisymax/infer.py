@@ -366,14 +366,15 @@ def _relevant_ancestors(net: ExpandedNetwork, query: Query) -> set[int]:
 
 
 def _validate_query(net: ExpandedNetwork, query: Query):
-    originals = net.original_ids
+    variables = net.source.variables
+    originals = range(len(variables))
     for t in query.targets:
         if t not in originals:
             raise ValueError(f"target {t} is not an original network variable")
     for v, state in query.evidence.items():
         if v not in originals:
             raise ValueError(f"evidence variable {v} is not an original network variable")
-        if not 0 <= state < net.size_of(v):
+        if not 0 <= state < variables[v].size:
             raise ValueError(f"evidence state {state} out of range for variable {v}")
 
 
@@ -452,11 +453,10 @@ def brute_force_joint(net: Network, query: Query) -> Factor:
         if not 0 <= state < sizes[v]:
             raise ValueError(f"evidence state {state} out of range for variable {v}")
 
-    vmap = net.variable_map
     joint = np.ones(sizes)
     for node in net.nodes:
         if isinstance(node, NoisyMaxCpd):
-            f = oracle_cpd(node, vmap)
+            f = oracle_cpd(node, net.variables)
         else:
             f = node.factor
         joint = joint * _broadcast_full(f, n, sizes)

@@ -158,13 +158,6 @@ class Factor:
     def size(self) -> int:
         return int(self.values.size)
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Factor):
             return NotImplemented
@@ -303,9 +296,11 @@ class Network:
                 raise SchemaError(
                     f"variable {var.name!r} has id {var.id}, expected position {position}"
                 )
-        names = [v.name for v in variables]
-        if len(set(names)) != len(names):
-            raise SchemaError("duplicate variable names")
+        seen: set[str] = set()
+        for var in variables:
+            if var.name in seen:
+                raise SchemaError(f"duplicate variable name {var.name!r}")
+            seen.add(var.name)
 
         n = len(variables)
         by_child: dict[int, Node] = {}
@@ -332,10 +327,10 @@ class Network:
             child = node_child(node)
             if isinstance(node, TableCpd):
                 expected = tuple(self.variables[v].size for v in node.factor.scope)
-                if node.factor.sizes != expected:
+                if node.factor.values.shape != expected:
                     raise SchemaError(
                         f"table for {self.variables[child].name!r}: shape "
-                        f"{node.factor.sizes} does not match domains {expected}"
+                        f"{node.factor.values.shape} does not match domains {expected}"
                     )
             else:
                 m = self.variables[node.effect].size
@@ -372,13 +367,6 @@ class Network:
         if seen != n:
             stuck = [self.variables[i].name for i in range(n) if out_degree[i] > 0]
             raise CycleError(f"cycle detected among variables {stuck}")
-
-    def var(self, vid: int) -> Variable:
-        return self.variables[vid]
-
-    @property
-    def variable_map(self) -> dict[int, Variable]:
-        return {v.id: v for v in self.variables}
 
     @property
     def names(self) -> dict[str, int]:
@@ -516,7 +504,7 @@ def serialize_network(net: Network) -> str:
                 {
                     "child": names[node.child],
                     "parents": [names[p] for p in node.parents],
-                    "cpd": {"type": "table", "values": node.factor.flat().tolist()},
+                    "cpd": {"type": "table", "values": node.factor.values.ravel().tolist()},
                 }
             )
         else:

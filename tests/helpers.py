@@ -37,6 +37,23 @@ def noisy_or_network() -> Network:
     return Network(variables, nodes)
 
 
+def wide_noisy_or_network(m: int) -> Network:
+    """Two causes with priors 0.5 and an m-state effect: an absent cause
+    contributes state 0, a present one every state equally."""
+    variables = (
+        Variable(0, "C1", ("F", "T")),
+        Variable(1, "C2", ("F", "T")),
+        Variable(2, "E", tuple(f"l{k}" for k in range(m))),
+    )
+    rows = [[1.0] + [0.0] * (m - 1), [1.0 / m] * m]
+    nodes = (
+        TableCpd(Factor((0,), [0.5, 0.5])),
+        TableCpd(Factor((1,), [0.5, 0.5])),
+        NoisyMaxCpd(2, (0, 1), (rows, rows)),
+    )
+    return Network(variables, nodes)
+
+
 def three_value_cpd():
     """Two-cause noisy-max over (L, M, H) with the worked link rows
     (.5, .3, .2) and (.4, .4, .2) for present causes."""

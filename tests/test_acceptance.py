@@ -109,7 +109,7 @@ def test_criterion_4_end_to_end_agreement():
                 k = int(rng.integers(1, min(3, len(pool)) + 1))
                 chosen = rng.choice(pool, size=k, replace=False)
                 evidence = {
-                    int(v): int(rng.integers(0, net.var(int(v)).size)) for v in chosen
+                    int(v): int(rng.integers(0, net.variables[int(v)].size)) for v in chosen
                 }
                 queries.append(Query((target,), evidence))
             expanded = {s: expand(net, s)[0] for s in ALL_STRATEGIES}
@@ -195,11 +195,11 @@ def test_criterion_8_ordering_freedom():
             if seed % 2:
                 other = int(rng.integers(0, n))
                 if other != target:
-                    evidence[other] = int(rng.integers(0, net.var(other).size))
+                    evidence[other] = int(rng.integers(0, net.variables[other].size))
             query = Query((target,), evidence)
             expected = brute_force_joint(net, query)
             expanded, _ = expand(net, Strategy.MULTIPLICATIVE)
-            everything = list(expanded.variables)
+            everything = range(len(expanded.variables))
             for _ in range(5):
                 order = [int(v) for v in rng.permutation(everything) if v != target]
                 posterior, _ = query_posterior(expanded, query, order=order)

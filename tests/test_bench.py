@@ -21,9 +21,10 @@ from noisymax import (
     run_benchmark,
     serialize_network,
 )
+from noisymax import bench
 from noisymax.bench import _decade_bucket
 from noisymax.factorize import ExpandedNetwork
-from helpers import single_effect_network
+from helpers import single_effect_network, wide_noisy_or_network
 
 
 class TestSplitMix64:
@@ -213,6 +214,41 @@ class TestRunBenchmark:
         assert cell_doc["relevant_vars"] == 19
         assert cell_doc["reason"] == aborted.reason
         assert by_strategy["multiplicative"].reason is None
+
+    def test_refused_expansion_is_aborted_cells(self, monkeypatch):
+        # The multiplicative selector of a 20-state effect would hold
+        # 20 * 2**19 entries; the expansion guard refuses it.
+        calls = []
+
+        def counted(net, strategy):
+            calls.append(strategy)
+            return expand(net, strategy)
+
+        monkeypatch.setattr(bench, "expand", counted)
+        report = run_benchmark(
+            wide_noisy_or_network(20), [Strategy.PARENT_DIVORCING, Strategy.MULTIPLICATIVE]
+        )
+        assert calls == [Strategy.PARENT_DIVORCING, Strategy.MULTIPLICATIVE]
+        divorced = [c for c in report.cells if c.strategy == "parent-divorcing"]
+        refused = [c for c in report.cells if c.strategy == "multiplicative"]
+        assert [c.status for c in divorced] == ["ok"] * 3
+        assert report.histograms["multiplicative"] == {"aborted": 3}
+        for cell in refused:
+            assert cell.reason == "selector would hold 20*2^19 entries"
+            assert (cell.multiplications, cell.peak_table_entries) == (0, 0)
+            assert (cell.relevant_vars, cell.pruned_states) == (0, 0)
+        assert report.totals["multiplicative"] == {
+            "multiplications": 0, "completed": 0, "aborted": 3
+        }
+
+    def test_refused_trivial_expansion_keeps_the_grid(self):
+        net = single_effect_network(23)
+        report = run_benchmark(net, [Strategy.TRIVIAL, Strategy.MULTIPLICATIVE])
+        trivial = [c for c in report.cells if c.strategy == "trivial"]
+        assert len(trivial) == report.query_count == 24
+        assert {c.status for c in trivial} == {"aborted"}
+        assert {c.reason for c in trivial} == {"max table would hold 2^24 entries"}
+        assert report.totals["multiplicative"]["completed"] == 24
 
     def test_aborted_cell_keeps_pruned_states(self):
         net = single_effect_network(18)

@@ -1,12 +1,14 @@
 """End-to-end CLI behavior: exit codes, machine-readable errors, outputs."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from noisymax import AgreementError, NegativeMassError, cli
 from noisymax.model import parse_network, serialize_network
-from helpers import noisy_or_network
+from helpers import noisy_or_network, wide_noisy_or_network
 
 
 @pytest.fixture
@@ -385,6 +387,24 @@ class TestBench:
         header = csv_path.read_text().splitlines()[0]
         assert header == "query,strategy,mults,peak,time_ms,status"
 
+    def test_refused_expansion_is_recorded_as_aborted(self, capsys, tmp_path):
+        path, report = tmp_path / "wide.json", tmp_path / "report.json"
+        path.write_text(serialize_network(wide_noisy_or_network(20)))
+        code, out, err = run(
+            capsys,
+            "bench", str(path),
+            "--strategies", "parent-divorcing,multiplicative",
+            "--out", str(report),
+        )
+        assert code == 0
+        assert err == ""
+        doc = json.loads(report.read_text())
+        assert doc["totals"]["parent-divorcing"]["completed"] == 3
+        assert doc["histograms"]["multiplicative"] == {"aborted": 3}
+        assert {c["reason"] for c in doc["cells"] if c["status"] == "aborted"} == {
+            "selector would hold 20*2^19 entries"
+        }
+
     def test_unknown_strategy(self, capsys, noisy_or_file):
         for argv in (
             ["bench", noisy_or_file, "--strategies", "trivial,bogus"],
@@ -457,3 +477,40 @@ class TestBench:
         assert payload["error"] == "agreement-error"
         assert payload["query"] == "E"
         assert payload["deviation"] == 0.25
+
+
+class TestOutputPins:
+    """The bytes of ``expand`` and of the ``bench`` report on two generated
+    networks, so a refactor that moves any count, ordering, answer or
+    message fails here."""
+
+    @pytest.mark.parametrize(
+        "gen_args, expand_digest, bench_digest",
+        [
+            (
+                ["--kind", "bn2o", "--seed", "11", "--domain-size", "3"],
+                "290f8425ea0367129df207f7195cc4c5c24c245cb38084a4c89fc23cecca69f7",
+                "2aa149f451588dc129d75792942869252c51b9888a14e3c6bbe097e4b4816eea",
+            ),
+            (
+                ["--kind", "multilevel", "--seed", "12"],
+                "e969a73b133dff10ab605f9eeefda355a850a01bb2654a49d5dbd188be3e7d5c",
+                "8787736fb137d4385627a4f4f05588c48399183abdc5dd7668b5e6e3db08ad48",
+            ),
+        ],
+        ids=["bn2o-seed11-m3", "multilevel-seed12"],
+    )
+    def test_expand_and_bench_bytes(
+        self, capsys, monkeypatch, tmp_path, gen_args, expand_digest, bench_digest
+    ):
+        monkeypatch.delenv("NOISYMAX_GUARD_MULTS", raising=False)
+        net, report = str(tmp_path / "net.json"), str(tmp_path / "report.json")
+        assert run(capsys, "gen", *gen_args, "-o", net)[0] == 0
+        code, out, err = run(capsys, "expand", net)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expand_digest
+        assert run(capsys, "bench", net, "--out", report)[0] == 0
+        doc = json.loads(Path(report).read_text())
+        del doc["cell_times_ms"]
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == bench_digest

@@ -44,7 +44,7 @@ class TestOracle:
     def test_noisy_or_values(self):
         # By hand: P(T|T,T) = 1 - 0.2*0.4; P(T|T,F) = 1 - 0.2*1.
         net = noisy_or_network()
-        table = oracle_cpd(net.nodes[2], net.variable_map)
+        table = oracle_cpd(net.nodes[2], net.variables)
         assert table.values[1, 1, 1] == pytest.approx(0.92, abs=1e-12)
         assert table.values[1, 0, 1] == pytest.approx(0.8, abs=1e-12)
 
@@ -71,7 +71,7 @@ class TestOracle:
 class TestTrivial:
     def test_max_table_size_two_causes(self):
         net = noisy_or_network()
-        result = expand_cpd(net.nodes[2], net.variable_map, Strategy.TRIVIAL)
+        result = expand_cpd(net.nodes[2], net.variables, Strategy.TRIVIAL)
         assert result.factors[-1].size == 8
         assert result.encoding_entry_count == 8
 
@@ -106,7 +106,7 @@ class TestParentDivorcing:
 
     def test_two_causes_single_combine(self):
         net = noisy_or_network()
-        result = expand_cpd(net.nodes[2], net.variable_map, Strategy.PARENT_DIVORCING)
+        result = expand_cpd(net.nodes[2], net.variables, Strategy.PARENT_DIVORCING)
         combines = [f for f in result.factors if len(f.scope) == 3]
         assert len(combines) == 1
         assert combines[0].size == 8
@@ -148,17 +148,17 @@ class TestTemporal:
 
     def test_two_causes_identical_to_parent_divorcing(self):
         net = noisy_or_network()
-        pd = expand_cpd(net.nodes[2], net.variable_map, Strategy.PARENT_DIVORCING)
-        tt = expand_cpd(net.nodes[2], net.variable_map, Strategy.TEMPORAL)
+        pd = expand_cpd(net.nodes[2], net.variables, Strategy.PARENT_DIVORCING)
+        tt = expand_cpd(net.nodes[2], net.variables, Strategy.TEMPORAL)
         assert list(pd.factors) == list(tt.factors)
         assert pd.auxiliary_variables == tt.auxiliary_variables
 
     def test_chain_recovers_oracle(self):
         net = noisy_or_network()
         cpd = net.nodes[2]
-        result = expand_cpd(cpd, net.variable_map, Strategy.TEMPORAL)
+        result = expand_cpd(cpd, net.variables, Strategy.TEMPORAL)
         recovered = recover_cpd(result, cpd)
-        expected = oracle_cpd(cpd, net.variable_map)
+        expected = oracle_cpd(cpd, net.variables)
         np.testing.assert_allclose(recovered.values, expected.values, atol=1e-12)
 
     def test_chain_shape(self):
@@ -230,7 +230,7 @@ class TestCumulativeDensity:
 class TestMultiplicative:
     def test_noisy_or_selector(self):
         net = noisy_or_network()
-        result = expand_cpd(net.nodes[2], net.variable_map, Strategy.MULTIPLICATIVE)
+        result = expand_cpd(net.nodes[2], net.variables, Strategy.MULTIPLICATIVE)
         selector = result.factors[-1]
         assert selector.size == 4
         # Axis order: prefix variable (V, I), then effect (F, T).
@@ -427,7 +427,7 @@ class TestNetworkExpand:
         expanded, report = expand(net, Strategy.MULTIPLICATIVE)
         assert report.rows == ()
         assert report.encoding_total == 0
-        assert list(expanded.variables) == [0, 1]
+        assert [v.id for v in expanded.variables] == [0, 1]
         assert [f.scope for f in expanded.factors] == [(0,), (0, 1)]
 
     def test_report_values(self):
@@ -469,6 +469,7 @@ class TestNetworkExpand:
         assert expanded.factors == tuple(f for r in expanded.nodes for f in r.factors)
         n = len(net.variables)
         assert expanded.auxiliary_ids == tuple(range(n, len(expanded.variables)))
+        assert all(v.id == i for i, v in enumerate(expanded.variables))
         noisy = [r for node, r in zip(net.nodes, expanded.nodes) if isinstance(node, NoisyMaxCpd)]
         assert report.encoding_total == sum(r.encoding_entry_count for r in noisy)
         assert report.entry_total == sum(r.total_entry_count for r in noisy)

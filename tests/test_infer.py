@@ -374,7 +374,7 @@ class TestQueryPosterior:
         query = Query((0,), {})
         expanded, _ = expand(net, Strategy.MULTIPLICATIVE)
         reference, _ = query_posterior(expanded, query)
-        everything = list(expanded.variables)
+        everything = range(len(expanded.variables))
         for _ in range(5):
             order = [v for v in rng.permutation(everything) if v != 0]
             posterior, _ = query_posterior(expanded, query, order=order)
@@ -446,7 +446,7 @@ class TestQueryPosterior:
         observed = data.draw(
             st.lists(st.integers(0, n - 1).filter(lambda v: v != target), max_size=3, unique=True)
         )
-        evidence = {v: data.draw(st.integers(0, net.var(v).size - 1)) for v in observed}
+        evidence = {v: data.draw(st.integers(0, net.variables[v].size - 1)) for v in observed}
         query = Query((target,), evidence)
 
         # Independent fixpoint: v is kept iff it is a target, is evidence,
@@ -581,12 +581,12 @@ class TestEvidencePass:
     def test_eliminate_with_evidence_matches_restricting_by_hand(self, seed, strategy, data):
         expanded, _ = expand(random_network(seed), strategy)
         factors = list(expanded.factors)
-        everything = sorted(expanded.variables)
+        everything = range(len(expanded.variables))
         keep = tuple(data.draw(st.lists(st.sampled_from(everything), min_size=1, max_size=2,
                                         unique=True)))
         observed = data.draw(st.lists(st.sampled_from([v for v in everything if v not in keep]),
                                       max_size=4, unique=True))
-        evidence = {v: data.draw(st.integers(0, expanded.size_of(v) - 1)) for v in observed}
+        evidence = {v: data.draw(st.integers(0, expanded.variables[v].size - 1)) for v in observed}
         restricted, touched = [], set()
         for i, f in enumerate(factors):
             for v, state in evidence.items():
@@ -640,12 +640,12 @@ class TestEvidencePass:
         )
         evidence = {}
         for v in observed:
-            top = net.var(v).size - 1
+            top = net.variables[v].size - 1
             evidence[v] = data.draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top)))
         query = Query((target,), evidence)
         expected = brute_force_joint(net, query)
         expanded, _ = expand(net, strategy)
-        order = [v for v in data.draw(st.permutations(sorted(expanded.variables))) if v != target]
+        order = [v for v in data.draw(st.permutations(range(len(expanded.variables)))) if v != target]
         for kwargs in ({}, {"order": order}):
             posterior, _ = query_posterior(expanded, query, **kwargs)
             np.testing.assert_allclose(posterior.values, expected.values, atol=1e-9)
@@ -674,7 +674,7 @@ class TestEvidencePass:
             expanded, _ = expand(net, strategy)
             before = [f.values.tobytes() for f in expanded.factors]
             for finding in findings:
-                for state in range(net.var(finding).size):
+                for state in range(net.variables[finding].size):
                     query_posterior(expanded, Query((0,), {finding: state}))
                 query_posterior(expanded, Query((0,), {f: 0 for f in findings}))
             assert [f.values.tobytes() for f in expanded.factors] == before

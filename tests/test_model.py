@@ -80,7 +80,7 @@ class TestFactorIndex:
         factor = self.layout(sizes)
         for a in itertools.product(range(3), range(2), range(4)):
             offset = np.ravel_multi_index(a, sizes)
-            assert factor.values[a] == factor.flat()[offset] == offset
+            assert factor.values[a] == factor.values.ravel()[offset] == offset
 
 
 class TestVariable:
@@ -314,6 +314,16 @@ class TestNodeValidation:
                     NoisyMaxCpd(1, (0,), (link,)),
                 ),
             )
+
+    def test_network_names_the_repeated_variable(self):
+        variables = (
+            Variable(0, "a", ("F", "T")),
+            Variable(1, "b", ("F", "T")),
+            Variable(2, "a", ("F", "T")),
+        )
+        nodes = tuple(TableCpd(Factor((i,), [0.5, 0.5])) for i in range(3))
+        with pytest.raises(SchemaError, match="^duplicate variable name 'a'$"):
+            Network(variables, nodes)
 
     def test_leak_must_normalize(self):
         with pytest.raises(MalformedDistributionError):
