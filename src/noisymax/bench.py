@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ from .model import (
 )
 
 DEFAULT_GUARD_MULTS = 10**8
-GUARD_MULTS_ENV = "NOISYMAX_GUARD_MULTS"
 AGREEMENT_ATOL = 1e-9
 
 _MASK = (1 << 64) - 1
@@ -155,15 +153,18 @@ def generate(spec: GeneratorSpec) -> Network:
 
 @dataclass(frozen=True)
 class BenchCell:
+    """One (query, strategy) cell: the query's stats (partial if a guard
+    tripped), its wall time, and the guard's message if one did."""
+
     query: str
     strategy: str
-    multiplications: int
-    peak_table_entries: int
-    relevant_vars: int
-    pruned_states: int
-    status: str
+    stats: EliminationStats
     time_ms: float
     reason: str | None = None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.reason is None else "aborted"
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,8 @@ class BenchReport:
     def histograms(self) -> dict[str, dict[str, int]]:
         """Cells per decade of multiplications, ascending, then ``aborted``."""
         hist: dict[str, dict[str, int]] = {s: {} for s in self.strategies}
-        for c in sorted(self.cells, key=lambda c: (c.status != "ok", c.multiplications)):
-            bucket = _decade_bucket(c.multiplications) if c.status == "ok" else "aborted"
+        for c in sorted(self.cells, key=lambda c: (c.status != "ok", c.stats.multiplications)):
+            bucket = _decade_bucket(c.stats.multiplications) if c.status == "ok" else "aborted"
             hist[c.strategy][bucket] = hist[c.strategy].get(bucket, 0) + 1
         return hist
 
@@ -196,7 +197,7 @@ class BenchReport:
         totals = {s: {"multiplications": 0, "completed": 0, "aborted": 0} for s in self.strategies}
         for c in self.cells:
             if c.status == "ok":
-                totals[c.strategy]["multiplications"] += c.multiplications
+                totals[c.strategy]["multiplications"] += c.stats.multiplications
                 totals[c.strategy]["completed"] += 1
             else:
                 totals[c.strategy]["aborted"] += 1
@@ -206,7 +207,14 @@ class BenchReport:
         return {
             "query_count": self.query_count,
             "cells": [
-                {k: v for k, v in asdict(c).items() if k != "time_ms"} for c in self.cells
+                {
+                    "query": c.query,
+                    "strategy": c.strategy,
+                    **c.stats.counts(),
+                    "status": c.status,
+                    "reason": c.reason,
+                }
+                for c in self.cells
             ],
             "histograms": self.histograms,
             "totals": self.totals,
@@ -222,8 +230,8 @@ class BenchReport:
                 [
                     c.query,
                     c.strategy,
-                    c.multiplications,
-                    c.peak_table_entries,
+                    c.stats.multiplications,
+                    c.stats.peak_table_entries,
                     f"{c.time_ms:.3f}",
                     c.status,
                 ]
@@ -263,27 +271,12 @@ def query_label(net: Network, query: Query) -> str:
     return label
 
 
-def positive_int(raw: str, name: str) -> int:
-    """``raw`` as a positive decimal integer; anything else raises
-    ``ValueError`` naming ``name``."""
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def default_guard_mults() -> int:
-    """The multiplication guard: ``NOISYMAX_GUARD_MULTS`` if set, else
-    ``DEFAULT_GUARD_MULTS``."""
-    raw = os.environ.get(GUARD_MULTS_ENV)
-    return positive_int(raw, GUARD_MULTS_ENV) if raw else DEFAULT_GUARD_MULTS
-
-
 def run_benchmark(
     net: Network,
     strategies: Sequence[Strategy],
     queries: Sequence[Query] | None = None,
     *,
-    guard_mults: int | None = None,
+    guard_mults: int = DEFAULT_GUARD_MULTS,
     guard_entries: int = TABLE_ENTRY_GUARD,
     expanded: Mapping[Strategy, ExpandedNetwork] | None = None,
 ) -> BenchReport:
@@ -296,11 +289,9 @@ def run_benchmark(
     the agreement check; every cell of a strategy whose expansion a guard
     refuses is aborted with that message and zero counts.  Any disagreement
     among completed cells beyond ``AGREEMENT_ATOL`` raises
-    :class:`AgreementError`.  ``expanded`` lets callers inject pre-expanded
-    networks (fault injection, reuse across runs).
+    :class:`AgreementError`.  ``expanded`` replaces a strategy's expansion
+    with the given network, for fault injection.
     """
-    if guard_mults is None:
-        guard_mults = default_guard_mults()
     if queries is None:
         query_list = [Query((v.id,), {}) for v in net.variables]
     else:
@@ -325,7 +316,7 @@ def run_benchmark(
             target = nets[strategy]
             start = time.perf_counter()
             if isinstance(target, GuardExceededError):
-                stats, status, reason = EliminationStats(), "aborted", str(target)
+                stats, reason = EliminationStats(), str(target)
             else:
                 try:
                     posterior, stats = query_posterior(
@@ -334,24 +325,12 @@ def run_benchmark(
                         max_multiplications=guard_mults,
                         max_table_entries=guard_entries,
                     )
-                    status, reason = "ok", None
+                    reason = None
                     answers.append(posterior.values)
                 except GuardExceededError as exc:
-                    stats, status, reason = exc.stats, "aborted", str(exc)
+                    stats, reason = exc.stats, str(exc)
             elapsed = (time.perf_counter() - start) * 1000.0
-            cells.append(
-                BenchCell(
-                    label,
-                    strategy.value,
-                    stats.multiplications,
-                    stats.peak_table_entries,
-                    stats.relevant_vars,
-                    stats.pruned_states,
-                    status,
-                    elapsed,
-                    reason,
-                )
-            )
+            cells.append(BenchCell(label, strategy.value, stats, elapsed, reason))
         if len(answers) > 1:
             # The largest spread per entry is the worst pairwise deviation.
             worst = float(np.ptp(np.stack(answers), axis=0).max())

@@ -5,16 +5,16 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from .bench import (
+    DEFAULT_GUARD_MULTS,
     AgreementError,
     GeneratorSpec,
-    default_guard_mults,
     generate,
-    positive_int,
     query_label,
     run_benchmark,
 )
@@ -23,6 +23,7 @@ from .infer import InferenceError, Query, query_posterior
 from .model import GuardExceededError, Network, NetworkError, parse_network, serialize_network
 
 STRATEGY_NAMES = [s.value for s in Strategy]
+GUARD_MULTS_ENV = "NOISYMAX_GUARD_MULTS"
 
 
 class CliError(Exception):
@@ -41,8 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(path: str) -> Network:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError("io-error", str(exc)) from None
     return parse_network(text)
 
@@ -73,12 +74,18 @@ def _emit(doc: dict):
 
 
 def _guard_mults(flag: str | None) -> int:
-    """``--guard-mults`` if given, else the environment's or the default
-    guard, read at run time so that only the commands it guards see it."""
-    try:
-        return positive_int(flag, "--guard-mults") if flag is not None else default_guard_mults()
-    except ValueError as exc:
-        raise CliError("usage", str(exc)) from None
+    """The multiplication guard: ``--guard-mults`` if given, else
+    ``NOISYMAX_GUARD_MULTS`` if set, else ``DEFAULT_GUARD_MULTS``.  Read at
+    run time so that only the commands it guards see it; a value that is not
+    a positive decimal integer is a ``usage`` error."""
+    name, raw = "--guard-mults", flag
+    if flag is None:
+        name, raw = GUARD_MULTS_ENV, os.environ.get(GUARD_MULTS_ENV)
+        if not raw:
+            return DEFAULT_GUARD_MULTS
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise CliError("usage", f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _parse_strategies(raw: str) -> list[Strategy]:
@@ -162,10 +169,7 @@ def cmd_infer(args) -> int:
         doc["stats"] = {
             "query": query_label(net, query),
             "strategy": strategy.value,
-            "multiplications": stats.multiplications,
-            "peak_table_entries": stats.peak_table_entries,
-            "relevant_vars": stats.relevant_vars,
-            "pruned_states": stats.pruned_states,
+            **stats.counts(),
             "wall_time_ms": wall_time_ms,
         }
     _emit(doc)

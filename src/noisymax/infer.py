@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .factorize import ExpandedNetwork, oracle_cpd
-from .model import Factor, GuardExceededError, Network, NoisyMaxCpd, node_parents
+from .model import Factor, GuardExceededError, Network, NoisyMaxCpd, Variable, node_parents
 
 JOINT_STATE_GUARD = 2**22
 NEGATIVE_MASS_RTOL = 1e-9
@@ -85,6 +85,17 @@ class EliminationStats:
     relevant_vars: int = 0
     pruned_states: int = 0  # dropped by the evidence pass, restricted-away variables' included
     min_unnormalized: float = 0.0
+
+    def counts(self) -> dict[str, int]:
+        """The counts a query reports, in report order, for ``infer --stats``
+        and bench cells alike; ``ordering`` and ``min_unnormalized`` are not
+        reported."""
+        return {
+            "multiplications": self.multiplications,
+            "peak_table_entries": self.peak_table_entries,
+            "relevant_vars": self.relevant_vars,
+            "pruned_states": self.pruned_states,
+        }
 
 
 def multiply(a: Factor, b: Factor, sum_out: int | None = None) -> Factor:
@@ -365,8 +376,8 @@ def _relevant_ancestors(net: ExpandedNetwork, query: Query) -> set[int]:
     return kept
 
 
-def _validate_query(net: ExpandedNetwork, query: Query):
-    variables = net.source.variables
+def _validate_query(variables: Sequence[Variable], query: Query):
+    """Range-check ``query`` against the original network's ``variables``."""
     originals = range(len(variables))
     for t in query.targets:
         if t not in originals:
@@ -397,7 +408,7 @@ def query_posterior(
     normalized; a zero normalization constant raises
     :class:`ZeroPosteriorError`, distinct from plain underflow.
     """
-    _validate_query(net, query)
+    _validate_query(net.source.variables, query)
     kept = _relevant_ancestors(net, query)
     stats = EliminationStats(relevant_vars=len(kept))
     result = eliminate(
@@ -440,18 +451,11 @@ def brute_force_joint(net: Network, query: Query) -> Factor:
     """Posterior over the query targets by full joint enumeration of the
     original network (noisy-max nodes expanded through the enumeration
     oracle).  Independent of the elimination engine."""
+    _validate_query(net.variables, query)
     sizes = [v.size for v in net.variables]
     n = len(sizes)
     if math.prod(sizes) > JOINT_STATE_GUARD:
         raise GuardExceededError(f"joint state space {math.prod(sizes)} exceeds the guard")
-    for t in query.targets:
-        if not 0 <= t < n:
-            raise ValueError(f"unknown target variable {t}")
-    for v, state in query.evidence.items():
-        if not 0 <= v < n:
-            raise ValueError(f"unknown evidence variable {v}")
-        if not 0 <= state < sizes[v]:
-            raise ValueError(f"evidence state {state} out of range for variable {v}")
 
     joint = np.ones(sizes)
     for node in net.nodes:

@@ -431,9 +431,14 @@ def parse_network(text: str) -> Network:
         name_to_id[var.name] = var.id
 
     def resolve(name, context: str) -> int:
+        _require(isinstance(name, str), f"{context}: variable reference {name!r} is not a string")
         if name not in name_to_id:
             raise DanglingReferenceError(f"{context}: unknown variable {name!r}")
         return name_to_id[name]
+
+    def resolve_list(names, context: str, key: str) -> tuple[int, ...]:
+        _require(isinstance(names, list), f"{context}.{key}: expected a list of variable names")
+        return tuple(resolve(name, context) for name in names)
 
     nodes: list[Node] = []
     raw_nodes = doc["nodes"]
@@ -447,9 +452,9 @@ def parse_network(text: str) -> Network:
         _require(isinstance(cpd, dict) and "type" in cpd, f"{context}.cpd: needs a type")
         kind = cpd["type"]
         if kind == "table":
-            parents = [resolve(p, context) for p in entry.get("parents", [])]
+            parents = resolve_list(entry.get("parents", []), context, "parents")
             _require("values" in cpd, f"{context}.cpd: table needs values")
-            scope = tuple(parents) + (child,)
+            scope = parents + (child,)
             sizes = tuple(variables[v].size for v in scope)
             try:
                 factor = Factor.from_flat(scope, sizes, _floats(cpd["values"], context))
@@ -458,7 +463,7 @@ def parse_network(text: str) -> Network:
             nodes.append(TableCpd(factor))
         elif kind == "noisy-max":
             _require("causes" in cpd and "links" in cpd, f"{context}.cpd: needs causes and links")
-            causes = tuple(resolve(c, context) for c in cpd["causes"])
+            causes = resolve_list(cpd["causes"], context, "cpd.causes")
             raw_links = cpd["links"]
             _require(
                 isinstance(raw_links, list) and len(raw_links) == len(causes),

@@ -37,6 +37,23 @@ def noisy_or_network() -> Network:
     return Network(variables, nodes)
 
 
+def references_doc(kind: str) -> dict:
+    """A network document with variables ``a``, ``b`` and ``ab``, where
+    ``ab`` is a ``"table"`` or ``"noisy-max"`` child of ``a`` and ``b``: one
+    name spells two others."""
+    if kind == "table":
+        cpd = {"type": "table", "values": [0.5] * 8}
+        node = {"child": "ab", "parents": ["a", "b"], "cpd": cpd}
+    else:
+        cpd = {"type": "noisy-max", "causes": ["a", "b"], "links": [[[1, 0], [0.2, 0.8]]] * 2}
+        node = {"child": "ab", "cpd": cpd}
+    prior = {"type": "table", "values": [0.5, 0.5]}
+    return {
+        "variables": [{"name": n, "states": ["F", "T"]} for n in ("a", "b", "ab")],
+        "nodes": [{"child": n, "parents": [], "cpd": prior} for n in "ab"] + [node],
+    }
+
+
 def wide_noisy_or_network(m: int) -> Network:
     """Two causes with priors 0.5 and an m-state effect: an absent cause
     contributes state 0, a present one every state equally."""

@@ -225,7 +225,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
         assert serialize_network(net) == net_text
 
         runs = [run_benchmark(net, ALL_STRATEGIES) for _ in range(2)]
-        counts = [[c.multiplications for c in report.cells] for report in runs]
+        counts = [[c.stats.multiplications for c in report.cells] for report in runs]
         assert counts[0] == counts[1]
         docs = [
             json.dumps({k: v for k, v in r.to_json().items() if k != "cell_times_ms"})

@@ -207,7 +207,7 @@ class TestRunBenchmark:
         assert report.histograms["trivial"] == {"aborted": 1}
         assert sum(report.histograms["trivial"].values()) == 1
         # The abort keeps the partial stats and the guard's reason.
-        assert aborted.relevant_vars == 19
+        assert aborted.stats.relevant_vars == 19
         assert "entries exceeds the guard" in aborted.reason
         cell_doc = report.to_json()["cells"][0]
         assert cell_doc["strategy"] == "trivial"
@@ -235,8 +235,8 @@ class TestRunBenchmark:
         assert report.histograms["multiplicative"] == {"aborted": 3}
         for cell in refused:
             assert cell.reason == "selector would hold 20*2^19 entries"
-            assert (cell.multiplications, cell.peak_table_entries) == (0, 0)
-            assert (cell.relevant_vars, cell.pruned_states) == (0, 0)
+            assert (cell.stats.multiplications, cell.stats.peak_table_entries) == (0, 0)
+            assert (cell.stats.relevant_vars, cell.stats.pruned_states) == (0, 0)
         assert report.totals["multiplicative"] == {
             "multiplications": 0, "completed": 0, "aborted": 3
         }
@@ -259,7 +259,7 @@ class TestRunBenchmark:
         )
         (cell,) = report.cells
         assert cell.status == "aborted"
-        assert cell.pruned_states == 2
+        assert cell.stats.pruned_states == 2
         assert report.to_json()["cells"][0]["pruned_states"] == 2
 
     def test_reports_are_deterministic(self):
@@ -270,8 +270,8 @@ class TestRunBenchmark:
             {k: v for k, v in r.to_json().items() if k != "cell_times_ms"} for r in (first, second)
         ]
         assert untimed[0] == untimed[1]
-        assert [c.multiplications for c in first.cells] == [
-            c.multiplications for c in second.cells
+        assert [c.stats.multiplications for c in first.cells] == [
+            c.stats.multiplications for c in second.cells
         ]
 
     def test_csv_columns(self):
@@ -287,14 +287,3 @@ class TestRunBenchmark:
         report = run_benchmark(net, list(Strategy), queries=queries)
         assert report.query_count == 2
         assert all(c.status == "ok" for c in report.cells)
-
-    def test_env_var_overrides_mult_guard(self, monkeypatch):
-        from noisymax.bench import default_guard_mults
-
-        monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "5")
-        assert default_guard_mults() == 5
-        net = single_effect_network(6)
-        report = run_benchmark(net, [Strategy.TRIVIAL], queries=[Query((6,), {})])
-        assert report.cells[0].status == "aborted"
-        monkeypatch.delenv("NOISYMAX_GUARD_MULTS")
-        assert default_guard_mults() == 10**8

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, machine-readable errors, outputs."""
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -8,7 +9,12 @@ import pytest
 
 from noisymax import AgreementError, NegativeMassError, cli
 from noisymax.model import parse_network, serialize_network
-from helpers import noisy_or_network, wide_noisy_or_network
+from helpers import (
+    noisy_or_network,
+    references_doc,
+    single_effect_network,
+    wide_noisy_or_network,
+)
 
 
 @pytest.fixture
@@ -81,6 +87,27 @@ class TestValidate:
         code, out, err = run(capsys, "validate", str(tmp_path / "nope.json"))
         assert code != 0
         assert json.loads(err)["error"] == "io-error"
+
+    def test_file_that_is_not_utf8_is_an_io_error(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_bytes(b'\xff\xfe{"variables": []}')
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "io-error"
+
+    @pytest.mark.parametrize("value", [[["a"]], "ab"], ids=["list", "string"])
+    def test_malformed_reference_is_a_schema_error(self, capsys, tmp_path, value):
+        doc = references_doc("table")
+        doc["nodes"][2]["parents"] = value
+        path = tmp_path / "refs.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "schema-error"
+        assert payload["message"].startswith("nodes[2]")
 
     def test_malformed_distribution(self, capsys, tmp_path):
         doc = {
@@ -405,6 +432,18 @@ class TestBench:
             "selector would hold 20*2^19 entries"
         }
 
+    def test_guard_variable_then_flag(self, capsys, monkeypatch, tmp_path):
+        path, report = tmp_path / "net.json", tmp_path / "report.json"
+        path.write_text(serialize_network(single_effect_network(6)))
+        monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "5")
+        argv = ["bench", str(path), "--strategies", "trivial", "--out", str(report)]
+        assert run(capsys, *argv)[0] == 0
+        cells = {c["query"]: c for c in json.loads(report.read_text())["cells"]}
+        assert cells["e"]["status"] == "aborted"
+        assert cells["e"]["reason"] == "8 multiplications exceed the guard"
+        assert run(capsys, *argv, "--guard-mults", "100000000")[0] == 0
+        assert {c["status"] for c in json.loads(report.read_text())["cells"]} == {"ok"}
+
     def test_unknown_strategy(self, capsys, noisy_or_file):
         for argv in (
             ["bench", noisy_or_file, "--strategies", "trivial,bogus"],
@@ -514,3 +553,70 @@ class TestOutputPins:
         del doc["cell_times_ms"]
         text = json.dumps(doc, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == bench_digest
+
+    @pytest.mark.parametrize(
+        "gen_args, report_digest, csv_digest",
+        [
+            (
+                ["--kind", "bn2o", "--seed", "11", "--domain-size", "3"],
+                "724cdc8fc223eaaa9163e359502bf33f2c139a7722cd0fe5087bca5164ea43a2",
+                "13d674a914dc554c28442bc31e87a46878d2983bb95ee1129acbd2b0769b2a89",
+            ),
+            (
+                ["--kind", "multilevel", "--seed", "12"],
+                "d96f7881a9dec36e4a8a115d9f41860bce62b05b5f8774e718f4bf73ffeb6a99",
+                "20277d8a30b645be801b5458c47722a3c2317aec0117fce4b18b56291b7eaad7",
+            ),
+        ],
+        ids=["bn2o-seed11-m3", "multilevel-seed12"],
+    )
+    def test_bench_key_order_and_csv_rows(
+        self, capsys, monkeypatch, tmp_path, gen_args, report_digest, csv_digest
+    ):
+        monkeypatch.delenv("NOISYMAX_GUARD_MULTS", raising=False)
+        net, report, rows = (str(tmp_path / name) for name in ("net.json", "r.json", "r.csv"))
+        assert run(capsys, "gen", *gen_args, "-o", net)[0] == 0
+        assert run(capsys, "bench", net, "--out", report, "--csv", rows)[0] == 0
+        doc = json.loads(Path(report).read_text())
+        del doc["cell_times_ms"]
+        text = json.dumps(doc, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == report_digest
+        with open(rows, newline="") as f:
+            text = "\n".join(",".join(r[:4] + r[5:]) for r in csv.reader(f))
+        assert hashlib.sha256(text.encode()).hexdigest() == csv_digest
+
+    @pytest.mark.parametrize(
+        "gen_args, query_args, expected",
+        [
+            (
+                ["--kind", "bn2o", "--seed", "11", "--domain-size", "3"],
+                ["--target", "d0", "--evidence", "f0=l2", "--evidence", "f1=l0"],
+                ["d0|f0=l2,f1=l0", "multiplicative", 34, 4, 6, 6],
+            ),
+            (
+                ["--kind", "bn2o", "--seed", "11", "--domain-size", "3"],
+                ["--target", "d0", "--evidence", "f0=l2", "--evidence", "f1=l0",
+                 "--strategy", "parent-divorcing"],
+                ["d0|f0=l2,f1=l0", "parent-divorcing", 38, 9, 6, 6],
+            ),
+            (
+                ["--kind", "multilevel", "--seed", "12"],
+                ["--target", "d1", "--target", "d2", "--evidence", "f9=l1"],
+                ["d1,d2|f9=l1", "multiplicative", 108, 8, 10, 0],
+            ),
+        ],
+        ids=["bn2o-multiplicative", "bn2o-parent-divorcing", "multilevel-two-targets"],
+    )
+    def test_infer_stats_items(
+        self, capsys, monkeypatch, tmp_path, gen_args, query_args, expected
+    ):
+        monkeypatch.delenv("NOISYMAX_GUARD_MULTS", raising=False)
+        net = str(tmp_path / "net.json")
+        assert run(capsys, "gen", *gen_args, "-o", net)[0] == 0
+        code, out, err = run(capsys, "infer", net, *query_args, "--stats")
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        del stats["wall_time_ms"]
+        keys = ["query", "strategy", "multiplications", "peak_table_entries",
+                "relevant_vars", "pruned_states"]
+        assert list(stats.items()) == list(zip(keys, expected))

@@ -752,6 +752,23 @@ class TestBruteForce:
                 assert stats.min_unnormalized >= -1e-9
 
 
+class TestQueryValidation:
+    @pytest.mark.parametrize(
+        "targets, evidence",
+        [((3,), {}), ((0,), {3: 0}), ((0,), {2: 2})],
+        ids=["target", "evidence-variable", "evidence-state"],
+    )
+    def test_engine_and_oracle_reject_alike(self, targets, evidence):
+        net = noisy_or_network()  # three binary variables
+        query = Query(targets, evidence)
+        expanded, _ = expand(net, Strategy.MULTIPLICATIVE)
+        with pytest.raises(ValueError) as engine:
+            query_posterior(expanded, query)
+        with pytest.raises(ValueError) as oracle:
+            brute_force_joint(net, query)
+        assert str(oracle.value) == str(engine.value)
+
+
 class TestConcurrentQueries:
     def test_shared_expanded_network(self):
         from concurrent.futures import ThreadPoolExecutor

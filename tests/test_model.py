@@ -22,7 +22,7 @@ from noisymax import (
     serialize_network,
 )
 from noisymax.model import node_parents
-from helpers import noisy_or_network
+from helpers import noisy_or_network, references_doc
 
 NAN, INF = float("nan"), float("inf")
 
@@ -205,6 +205,30 @@ class TestParse:
         doc = json.loads(doc_text())
         doc["variables"][1]["name"] = "C1"
         with pytest.raises(SchemaError, match="duplicate variable name 'C1'"):
+            parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("table", "child", ["a"]),
+            ("table", "parents", [["a"]]),
+            ("noisy-max", "causes", [["a"]]),
+            ("table", "parents", None),
+            ("noisy-max", "causes", None),
+            ("table", "parents", "ab"),
+            ("noisy-max", "causes", "ab"),
+        ],
+        ids=[
+            "child-list", "parent-list", "cause-list",
+            "parents-null", "causes-null", "parents-string", "causes-string",
+        ],
+    )
+    def test_malformed_references_are_schema_errors(self, kind, key, value):
+        doc = references_doc(kind)
+        assert node_parents(parse_network(json.dumps(doc)).nodes[2]) == (0, 1)
+        node = doc["nodes"][2]
+        (node["cpd"] if key == "causes" else node)[key] = value
+        with pytest.raises(SchemaError, match=r"^nodes\[2\]"):
             parse_network(json.dumps(doc))
 
     def test_syntax_error_reports_position(self):
