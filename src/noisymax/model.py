@@ -422,8 +422,14 @@ def parse_network(text: str) -> Network:
     for i, entry in enumerate(_as_state_list(doc["variables"], "'variables'")):
         _require(isinstance(entry, dict), f"variables[{i}]: expected an object")
         _require("name" in entry and "states" in entry, f"variables[{i}]: needs name and states")
-        states = _as_state_list(entry["states"], f"variables[{i}].states")
-        variables.append(Variable(i, str(entry["name"]), tuple(str(s) for s in states)))
+        name, states = entry["name"], _as_state_list(entry["states"], f"variables[{i}].states")
+        if not isinstance(name, str):
+            raise SchemaError(f"variables[{i}].name: {json.dumps(name)} is not a string")
+        for k, state in enumerate(states):
+            if not isinstance(state, str):
+                label = json.dumps(state)
+                raise SchemaError(f"variables[{i}].states[{k}]: {label} is not a string")
+        variables.append(Variable(i, name, tuple(states)))
     name_to_id = {}
     for var in variables:
         if var.name in name_to_id:
@@ -464,6 +470,10 @@ def parse_network(text: str) -> Network:
         elif kind == "noisy-max":
             _require("causes" in cpd and "links" in cpd, f"{context}.cpd: needs causes and links")
             causes = resolve_list(cpd["causes"], context, "cpd.causes")
+            parents = entry.get("parents", cpd["causes"])
+            if parents != cpd["causes"]:
+                listed = json.dumps(parents)
+                raise SchemaError(f"{context}.parents: {listed} is not cpd.causes, in order")
             raw_links = cpd["links"]
             _require(
                 isinstance(raw_links, list) and len(raw_links) == len(causes),

@@ -325,6 +325,116 @@ class TestChooseNext:
         assert self.first_eliminated(factors, (2,)) == 0
 
 
+class TestOrderSearch:
+    """A costly query's order: min-fill or min-weight, by exact replay."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_replay_predicts_the_counts_exactly(self, data):
+        n = data.draw(st.integers(1, 9))
+        sizes = data.draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+        scopes = data.draw(
+            st.lists(
+                st.lists(st.integers(0, n - 1), max_size=4, unique=True),
+                min_size=1, max_size=10,
+            )
+        )
+        factors = [Factor(tuple(sc), np.ones([sizes[v] for v in sc])) for sc in scopes]
+        present = sorted({v for sc in scopes for v in sc})
+        keep = data.draw(st.lists(st.sampled_from(present), unique=True)) if present else []
+        order = data.draw(st.permutations([v for v in present if v not in keep]))
+        stats = EliminationStats()
+        eliminate(factors, keep, order=order, stats=stats)
+        predicted = infer._replay(factors, order, keep)
+        assert predicted == (stats.multiplications, stats.peak_table_entries)
+
+    @pytest.mark.parametrize(
+        "scopes, keep, order",
+        [
+            ([(), (0,), (0, 1)], (), (1, 0)),  # a scalar, and one-factor buckets
+            ([(0, 1), (1, 2), ()], (0,), (2, 1)),  # a one-factor bucket mid-order
+            ([(), ()], (), ()),  # scalars only
+        ],
+    )
+    def test_replay_of_scalars_and_lone_buckets(self, scopes, keep, order):
+        factors = [Factor(sc, np.ones((3,) * len(sc))) for sc in scopes]
+        stats = EliminationStats()
+        eliminate(factors, keep, order=order, stats=stats)
+        predicted = infer._replay(factors, order, keep)
+        assert predicted == (stats.multiplications, stats.peak_table_entries)
+
+    @pytest.mark.parametrize(
+        "weight_counts, takes_min_weight",
+        [((9, 4), True), ((10, 4), False), ((9, 5), False)],
+        ids=["fewer-multiplications", "as-many", "higher-peak"],
+    )
+    def test_min_weight_must_multiply_less_and_peak_no_higher(
+        self, monkeypatch, weight_counts, takes_min_weight
+    ):
+        # Min-fill eliminates 0 first (no fill edge), min-weight 3 (8 entries).
+        factors = [
+            Factor((0, 1, 2), np.ones((3, 3, 3))),
+            Factor((3, 4), np.ones((2, 2))),
+            Factor((3, 5), np.ones((2, 2))),
+        ]
+        keep = (1, 2, 4, 5)
+        monkeypatch.setattr(infer, "SEARCH_FROM", 0)
+        monkeypatch.setattr(
+            infer, "_replay", lambda fs, order, kept: weight_counts if order[0] == 3 else (10, 4)
+        )
+        stats = EliminationStats()
+        eliminate(factors, keep, stats=stats)
+        assert stats.ordering == ([3, 0] if takes_min_weight else [0, 3])
+
+    @pytest.fixture(scope="class")
+    def findings_net(self):
+        """The 30x40 bn2o-findings network, parent-divorcing, and its findings."""
+        spec = GeneratorSpec(
+            "bn2o", 2, diseases=30, findings=40, max_parents=10, effect_domain_size=2
+        )
+        net = generate(spec)
+        expanded, _ = expand(net, Strategy.PARENT_DIVORCING)
+        return expanded, [v for v in net.variables if v.name.startswith("f")]
+
+    @staticmethod
+    def record_orders(monkeypatch) -> list[tuple[list[int], int]]:
+        calls = []
+        ordering = infer._min_fill_order
+
+        def recorded(*args, **kwargs):
+            calls.append(ordering(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(infer, "_min_fill_order", recorded)
+        return calls
+
+    def test_costly_query_takes_min_weight_when_it_multiplies_less(
+        self, findings_net, monkeypatch
+    ):
+        expanded, findings = findings_net
+        query = Query((0,), {v.id: v.size - 1 for v in findings})
+        calls = self.record_orders(monkeypatch)
+        posterior, stats = query_posterior(expanded, query)
+        (min_fill, estimate), (min_weight, _) = calls
+        assert estimate >= infer.SEARCH_FROM
+        assert stats.ordering == min_weight
+        assert (stats.multiplications, stats.peak_table_entries) == (16_176_000, 2_097_152)
+
+        by_fill, fill_stats = query_posterior(expanded, query, order=min_fill)
+        assert (fill_stats.multiplications, fill_stats.peak_table_entries) == (
+            20_900_056, 4_194_304
+        )
+        assert np.abs(posterior.values - by_fill.values).max() <= 1e-12
+
+    def test_cheap_query_orders_once(self, findings_net, monkeypatch):
+        expanded, findings = findings_net
+        calls = self.record_orders(monkeypatch)
+        _, stats = query_posterior(expanded, Query((0,), {v.id: 0 for v in findings}))
+        [(order, estimate)] = calls
+        assert estimate < infer.SEARCH_FROM
+        assert stats.ordering == order
+
+
 class TestQueryPosterior:
     def test_root_prior(self):
         net = Network(

@@ -208,6 +208,36 @@ class TestParse:
             parse_network(json.dumps(doc))
 
     @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ("name", 1, "variables[1].name: 1 is not a string"),
+            ("name", None, "variables[1].name: null is not a string"),
+            ("states", ["F", None], "variables[1].states[1]: null is not a string"),
+            ("states", [True, "T"], "variables[1].states[0]: true is not a string"),
+            ("states", ["F", 0.5], "variables[1].states[1]: 0.5 is not a string"),
+        ],
+    )
+    def test_names_and_states_must_be_strings(self, where, value, message):
+        doc = json.loads(doc_text())
+        doc["variables"][1][where] = value
+        with pytest.raises(SchemaError) as excinfo:
+            parse_network(json.dumps(doc))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "parents",
+        [["ghost", 3], ["C2", "C1"], ["C1"], [], None, "C1"],
+        ids=["unknown", "reordered", "short", "empty", "null", "string"],
+    )
+    def test_noisy_max_parents_must_be_its_causes(self, parents):
+        doc = json.loads(doc_text())
+        doc["nodes"][2]["parents"] = parents
+        with pytest.raises(SchemaError, match=r"^nodes\[2\]\.parents: .* is not cpd\.causes"):
+            parse_network(json.dumps(doc))
+        doc["nodes"][2]["parents"] = ["C1", "C2"]
+        assert parse_network(json.dumps(doc)) == parse_network(doc_text())
+
+    @pytest.mark.parametrize(
         "kind, key, value",
         [
             ("table", "child", ["a"]),
