@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisymax import (
@@ -140,6 +142,58 @@ class TestMultiply:
         expected = np.einsum(spec, a.values, b.values)
         assert out.values.shape == expected.shape
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a_scope=st.lists(st.integers(0, 4), unique=True, max_size=4),
+        b_scope=st.lists(st.integers(0, 4), unique=True, max_size=4),
+        sizes=st.lists(st.integers(2, 4), min_size=5, max_size=5),
+        summed=st.integers(-1, 3),
+        cpus=st.sampled_from((2, 3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Outputs over the split variable alone, with and without a sum.
+    @example(a_scope=[0, 1], b_scope=[1, 0], sizes=[3, 2, 2, 2, 2], summed=1, cpus=2, seed=0)
+    @example(a_scope=[2], b_scope=[2], sizes=[2, 2, 4, 2, 2], summed=-1, cpus=3, seed=1)
+    def test_split_product_matches_the_unsplit_one(
+        self, a_scope, b_scope, sizes, summed, cpus, seed
+    ):
+        # summed indexes the shared variables in a's order; out of range
+        # (-1 included) sums nothing.  A slice's matmul may take another
+        # kernel than the whole one, and so sum in another order; entries in
+        # [0, 1) cannot cancel, so the two agree to 1e-15 relative.
+        rng = np.random.default_rng(seed)
+        a = Factor(tuple(a_scope), rng.random([sizes[u] for u in a_scope]))
+        b = Factor(tuple(b_scope), rng.random([sizes[u] for u in b_scope]))
+        shared = [u for u in a_scope if u in b_scope]
+        sum_out = shared[summed] if 0 <= summed < len(shared) else None
+        matmul, slices = np.matmul, []
+
+        def recording(*args, **kwargs):
+            slices.append(threading.get_ident())
+            return matmul(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infer, "CPUS", 1)
+            want = multiply(a, b, sum_out)
+            patch.setattr(infer, "CPUS", cpus)
+            patch.setattr(infer, "SPLIT_FROM", 0)
+            patch.setattr(np, "matmul", recording)
+            threads = threading.active_count()
+            got = multiply(a, b, sum_out)
+        assert threading.active_count() == threads  # every slice thread joined
+        assert got.scope == want.scope
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-15, atol=0)
+        batch = [u for u in shared if u != sum_out]
+        if batch:
+            # One matmul per state of the first batch variable, dealt
+            # round-robin; the calling thread takes slices 0, w, 2w, ...
+            states = sizes[batch[0]]
+            assert len(slices) == states
+            mine = slices.count(threading.get_ident())
+            assert mine == len(range(0, states, min(cpus, states)))
+        else:
+            assert len(slices) == 1
 
     def test_sum_out_in_neither_operand(self):
         with pytest.raises(ValueError, match="not in both"):
@@ -729,6 +783,11 @@ class TestEvidencePass:
         with pytest.raises(ValueError, match="no factor holds"):
             eliminate(factors[:1], (0,), evidence={2: 1})
 
+    @pytest.mark.parametrize("keep", [(), (0,)])
+    def test_eliminate_rejects_no_factors(self, keep):
+        with pytest.raises(ValueError, match="at least one factor"):
+            eliminate([], keep)
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -880,17 +939,52 @@ class TestQueryValidation:
 
 
 class TestConcurrentQueries:
-    def test_shared_expanded_network(self):
-        from concurrent.futures import ThreadPoolExecutor
+    @staticmethod
+    def check_shared_expanded_network(split: bool):
+        # Four query threads against sequential, unsplit answers: every
+        # marginal of one network, and every posterior of a second with all
+        # of its findings observed, whose products have batch variables.
+        # With ``split`` those products split in two, so the query threads
+        # start slice threads of their own.
+        asked = []
+        for seed, observed in ((21, False), (7, True)):
+            net = random_network(seed)
+            expanded, _ = expand(net, Strategy.MULTIPLICATIVE)
+            findings = [v for v in net.variables if observed and v.name.startswith("f")]
+            evidence = {v.id: v.size - 1 for v in findings}
+            targets = [v for v in range(len(net.variables)) if v not in evidence]
+            asked += [(expanded, Query((v,), evidence)) for v in targets]
+        askers, callers, matmul = set(), set(), np.matmul
 
-        net = random_network(21)
-        expanded, _ = expand(net, Strategy.MULTIPLICATIVE)
-        queries = [Query((v,), {}) for v in range(len(net.variables))]
-        sequential = [query_posterior(expanded, q)[0].values for q in queries]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = list(pool.map(lambda q: query_posterior(expanded, q)[0].values, queries))
-        for got, want in zip(parallel, sequential):
-            np.testing.assert_array_equal(got, want)
+        def ask(item):
+            askers.add(threading.get_ident())
+            return query_posterior(*item)
+
+        def recording(*args, **kwargs):
+            callers.add(threading.get_ident())
+            return matmul(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infer, "CPUS", 1)
+            sequential = [query_posterior(*item) for item in asked]
+            if split:
+                patch.setattr(infer, "CPUS", 2)
+                patch.setattr(infer, "SPLIT_FROM", 0)
+            patch.setattr(np, "matmul", recording)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                parallel = list(pool.map(ask, asked))
+        # Slice threads are the only callers that are not query threads.
+        assert bool(callers - askers) == split
+        for (got, got_stats), (want, want_stats) in zip(parallel, sequential):
+            assert got.scope == want.scope
+            np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-15 if split else 0)
+            assert got_stats.counts() == want_stats.counts()
+
+    def test_shared_expanded_network(self):
+        self.check_shared_expanded_network(split=False)
+
+    def test_shared_expanded_network_under_a_forced_split(self):
+        self.check_shared_expanded_network(split=True)
 
 
 class TestCostScaling:
@@ -1013,6 +1107,16 @@ COST_PINS = {
 class TestCostModel:
     @pytest.mark.parametrize("name", sorted(COST_SPECS))
     def test_counts_and_orderings_are_pinned(self, name):
+        self.check_pins(name)
+
+    @pytest.mark.parametrize("name", ["bn2o"])
+    def test_pins_hold_under_a_forced_split(self, name, monkeypatch):
+        monkeypatch.setattr(infer, "CPUS", 2)
+        monkeypatch.setattr(infer, "SPLIT_FROM", 0)
+        self.check_pins(name)
+
+    @staticmethod
+    def check_pins(name):
         net = generate(COST_SPECS[name])
         findings = [v for v in net.variables if v.name.startswith("f")]
         queries = {
