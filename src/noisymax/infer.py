@@ -9,9 +9,10 @@ bucket, so the bucket's joint is never allocated.  A product whose joint
 reaches :data:`SPLIT_FROM` entries and that has a batch variable is split
 along it over the :data:`CPUS` the process may run on; the result's scope,
 its values (up to the order of a sum's terms) and every count are those of
-the unsplit product.  Only :func:`eliminate` counts cost, as the paper's
-model does: one scalar multiplication per entry of each binary product's
-joint, and the peak table size, joints included.
+the unsplit product.  Cost is counted once, from :func:`eliminate`'s plan
+of every product before any is formed, as the paper's model counts it: one
+scalar multiplication per entry of each binary product's joint, and the
+peak table size, joints included.
 
 ``brute_force_joint`` answers the same queries from the original network by
 enumerating the full joint; it shares no code path with elimination and acts
@@ -92,9 +93,9 @@ class Query:
 @dataclass
 class EliminationStats:
     """What :func:`eliminate` did.  ``multiplications`` and
-    ``peak_table_entries`` are the cost model's counts, taken from each
-    binary product's joint whether or not it is allocated; nothing else
-    counts them."""
+    ``peak_table_entries`` are the cost model's counts, charged from the
+    plan's joints before any is formed, whether or not one is allocated;
+    nothing else counts them."""
 
     multiplications: int = 0
     peak_table_entries: int = 0
@@ -284,36 +285,49 @@ def _min_fill_order(
     return order, estimate
 
 
-def _replay(factors: Sequence[Factor], order: list[int], keep: Sequence[int]) -> tuple[int, int]:
-    """The ``multiplications`` and ``peak_table_entries`` that the bucket phase
-    of :func:`eliminate` counts under ``order``, from scopes and shapes alone:
-    the same placement, arrival order and joint-entry formula as its
-    ``product``, and a one-factor bucket's peak taken after its sum."""
+def _plan(factors: Sequence[Factor], order: list[int], keep: Sequence[int]) -> tuple:
+    """Bucket elimination under ``order``, from scopes and shapes alone.
+    Factor ``k`` fills slot ``k``, the ``i``-th bucket's result slot
+    ``len(factors) + i``; a table waits in the bucket of its earliest
+    variable in the order, or in a last bucket if it holds kept variables
+    only.  One step per bucket: its variable (``None`` for the last), its
+    operands' slots in arrival order, each binary product's joint entries,
+    and its result's entries.  Also returns the multiplications (the joints'
+    sum) and the peak (the largest joint or result)."""
     size = {u: n for f in factors for u, n in zip(f.scope, f.values.shape)}
     last = len(order)
     position = dict.fromkeys(keep, last)
     position.update(zip(order, range(last)))
-    buckets: list[list[Iterable[int]]] = [[] for _ in range(last + 1)]
+    buckets: list[list[int]] = [[] for _ in range(last + 1)]
+    scopes: list[Iterable[int]] = []
+
+    def place(scope: Iterable[int]):
+        buckets[min(map(position.__getitem__, scope), default=last)].append(len(scopes))
+        scopes.append(scope)
+
     for f in factors:
-        buckets[min(map(position.__getitem__, f.scope), default=last)].append(f.scope)
+        place(f.scope)
+    steps = []
     multiplications = peak = 0
-    for i, bucket in enumerate(buckets):
-        joint = set(bucket[0])
+    for i, slots in enumerate(buckets):
+        joint = set(scopes[slots[0]])
         entries = math.prod(map(size.__getitem__, joint))
-        for scope in bucket[1:]:
-            for u in scope:
+        joints = []
+        for slot in slots[1:]:
+            for u in scopes[slot]:
                 if u not in joint:
                     joint.add(u)
                     entries *= size[u]
-            multiplications += entries
-            peak = max(peak, entries)
-        if i < last:
-            joint.discard(order[i])
-        if len(bucket) == 1:
-            peak = max(peak, math.prod(map(size.__getitem__, joint)))
-        if i < last:
-            buckets[min(map(position.__getitem__, joint), default=last)].append(joint)
-    return multiplications, peak
+            joints.append(entries)
+        v = order[i] if i < last else None
+        if v is not None:
+            joint.discard(v)
+            entries //= size[v]
+            place(joint)
+        multiplications += sum(joints)
+        peak = max(peak, entries, *joints)
+        steps.append((v, slots, joints, entries))
+    return steps, multiplications, peak
 
 
 def eliminate(
@@ -329,7 +343,7 @@ def eliminate(
     """Sum every variable outside ``keep`` out of the product of ``factors``,
     each ``evidence`` variable fixed to its observed state, and return the
     result aligned to ``keep``, by bucket elimination (Dechter 1999).  An
-    empty ``factors`` raises ``ValueError``.
+    empty ``factors``, or a kept variable in no factor, raises ``ValueError``.
 
     Evidence: after evidence is fixed, every state of a variable outside
     ``keep`` whose slice is all zero in a factor evidence (or an earlier
@@ -343,17 +357,16 @@ def eliminate(
 
     Order: all of it is fixed before any product, by :func:`_min_fill_order`
     or from an explicit ``order``, which must hold every eliminable variable
-    once (other entries are skipped).  From min-fill's estimate
-    :data:`SEARCH_FROM` on, min-weight's order is taken if :func:`_replay`
-    shows it multiplies strictly less and peaks no higher.
+    once (other entries are skipped), and planned by :func:`_plan`.  From
+    min-fill's estimate :data:`SEARCH_FROM` on, min-weight's plan is taken
+    if it multiplies strictly less and peaks no higher.
 
-    Buckets: a factor waits in the bucket of its earliest variable in the
-    order, or in a last bucket if it holds kept variables only.  Buckets are
-    multiplied in arrival order, the variable summed out inside the last
-    binary product, and each result is placed by the same rule; the last
-    bucket's product is the answer.  Guards are checked from scope sizes
-    before a product is allocated; a tripped guard raises
-    :class:`GuardExceededError` carrying the partial ``stats``.
+    Buckets: the plan is charged to ``stats`` bucket by bucket, and the
+    guards checked on each joint, before any product is formed; a tripped
+    guard raises :class:`GuardExceededError` carrying the ``stats`` up to
+    that joint, and no table has been allocated.  Then each bucket's tables
+    are multiplied in arrival order, the variable summed out inside the
+    last binary product; the last bucket's product is the answer.
     """
     if stats is None:
         stats = EliminationStats()
@@ -373,32 +386,9 @@ def eliminate(
             live[i] = restrict(live[i], v, state)
         return held
 
-    def product(bucket: Sequence[Factor], sum_out: int | None = None) -> Factor:
-        """Product of ``bucket`` in order, ``sum_out`` summed out inside the
-        last binary product; counts the peak (each joint, or a lone result)."""
-        result, last = bucket[0], len(bucket) - 1
-        if not last:
-            result = result if sum_out is None else marginalize(result, sum_out)
-            stats.peak_table_entries = max(stats.peak_table_entries, result.size)
-            return result
-        for i in range(1, last + 1):
-            f = bucket[i]
-            entries = result.values.size
-            for u, s in zip(f.scope, f.values.shape):
-                if u not in result.scope:
-                    entries *= s
-            if max_table_entries is not None and entries > max_table_entries:
-                raise GuardExceededError(
-                    f"intermediate table of {entries} entries exceeds the guard", stats
-                )
-            total = stats.multiplications + entries
-            if max_multiplications is not None and total > max_multiplications:
-                raise GuardExceededError(f"{total} multiplications exceed the guard", stats)
-            stats.multiplications = total
-            stats.peak_table_entries = max(stats.peak_table_entries, entries)
-            result = multiply(result, f, sum_out if i == last else None)
-        return result
-
+    for v in keep:
+        if v not in var_index:
+            raise ValueError(f"no factor holds kept variable {v}")
     work: set[int] = set()
     for v, state in (evidence or {}).items():
         if v in keep:
@@ -435,13 +425,12 @@ def eliminate(
     eliminable = set(var_index) - set(keep)
     if order is None:
         order, estimate = _min_fill_order(live, eliminable)
+        plan = _plan(live, order, keep)
         if estimate >= SEARCH_FROM:
             other, _ = _min_fill_order(live, eliminable, by_weight=True)
-            if other != order:
-                mults, peak = _replay(live, order, keep)
-                other_mults, other_peak = _replay(live, other, keep)
-                if other_mults < mults and other_peak <= peak:
-                    order = other
+            other_plan = plan if other == order else _plan(live, other, keep)
+            if other_plan[1] < plan[1] and other_plan[2] <= plan[2]:
+                plan = other_plan
     else:
         order = [v for v in order if v in eliminable]
         missing = eliminable.difference(order)
@@ -450,27 +439,34 @@ def eliminate(
         if len(order) > len(eliminable):
             repeated = sorted({v for v in order if order.count(v) > 1})
             raise ValueError(f"explicit order repeats variables {repeated}")
+        plan = _plan(live, order, keep)
 
-    last = len(order)
-    position = dict.fromkeys(keep, last)
-    position.update(zip(order, range(last)))
-    buckets: list[list[Factor] | None] = [[] for _ in range(last + 1)]
+    for v, _, joints, entries in plan[0]:
+        for joint in joints:
+            if max_table_entries is not None and joint > max_table_entries:
+                raise GuardExceededError(
+                    f"intermediate table of {joint} entries exceeds the guard", stats
+                )
+            total = stats.multiplications + joint
+            if max_multiplications is not None and total > max_multiplications:
+                raise GuardExceededError(f"{total} multiplications exceed the guard", stats)
+            stats.multiplications = total
+            stats.peak_table_entries = max(stats.peak_table_entries, joint)
+        stats.peak_table_entries = max(stats.peak_table_entries, entries)
+        if v is not None:
+            stats.ordering.append(v)
 
-    def place(f: Factor):
-        buckets[min(map(position.__getitem__, f.scope), default=last)].append(f)
-
-    for f in live:
-        place(f)
-    live.clear()  # the buckets hold the factors now
-    for i, v in enumerate(order):
-        place(product(buckets[i], sum_out=v))
-        buckets[i] = None  # free what the bucket held
-        stats.ordering.append(v)
-
-    result = product(buckets[last])
-    if set(result.scope) != set(keep):
-        raise InferenceError(f"elimination left scope {result.scope}, expected {tuple(keep)}")
-    return align(result, keep)
+    tables: list[Factor | None] = live  # slot k's table, freed once used
+    for v, slots, _, _ in plan[0]:
+        result = tables[slots[0]]
+        for slot in slots[1:]:
+            result = multiply(result, tables[slot], v if slot == slots[-1] else None)
+        if len(slots) == 1 and v is not None:
+            result = marginalize(result, v)
+        for slot in slots:
+            tables[slot] = None
+        tables.append(result)
+    return align(tables[-1], keep)
 
 
 def _relevant_ancestors(net: ExpandedNetwork, query: Query) -> set[int]:
@@ -489,8 +485,12 @@ def _relevant_ancestors(net: ExpandedNetwork, query: Query) -> set[int]:
 
 
 def _validate_query(variables: Sequence[Variable], query: Query):
-    """Range-check ``query`` against the original network's ``variables``."""
+    """Check ``query``'s ids and states: integers (``bool`` is not one), in
+    range of the original network's ``variables``."""
     originals = range(len(variables))
+    for n in (*query.targets, *query.evidence, *query.evidence.values()):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"query id or state {n!r} is not an integer")
     for t in query.targets:
         if t not in originals:
             raise ValueError(f"target {t} is not an original network variable")

@@ -380,7 +380,36 @@ class TestChooseNext:
 
 
 class TestOrderSearch:
-    """A costly query's order: min-fill or min-weight, by exact replay."""
+    """A costly query's order: min-fill or min-weight, by the cost of each
+    order's plan; and every plan against the products it executes."""
+
+    @staticmethod
+    def check_plan_against_execution(factors, keep, order):
+        # Every product and lone-bucket sum, recorded through the module
+        # globals: each joint formed (or summed inside the call), in order.
+        joints, sums = [], []
+        real_multiply, real_marginalize = infer.multiply, infer.marginalize
+
+        def recording(a, b, sum_out=None):
+            new = [n for u, n in zip(b.scope, b.values.shape) if u not in a.scope]
+            joints.append(a.size * math.prod(new))
+            return real_multiply(a, b, sum_out)
+
+        def summing(f, v):
+            out = real_marginalize(f, v)
+            sums.append(out.size)
+            return out
+
+        stats = EliminationStats()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infer, "multiply", recording)
+            patch.setattr(infer, "marginalize", summing)
+            result = eliminate(factors, keep, order=order, stats=stats)
+        steps, multiplications, peak = infer._plan(factors, list(order), keep)
+        assert joints == [joint for _, _, planned, _ in steps for joint in planned]
+        counts = (sum(joints), max(joints + sums + [result.size]))
+        assert (stats.multiplications, stats.peak_table_entries) == counts
+        assert (multiplications, peak) == counts
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -397,10 +426,7 @@ class TestOrderSearch:
         present = sorted({v for sc in scopes for v in sc})
         keep = data.draw(st.lists(st.sampled_from(present), unique=True)) if present else []
         order = data.draw(st.permutations([v for v in present if v not in keep]))
-        stats = EliminationStats()
-        eliminate(factors, keep, order=order, stats=stats)
-        predicted = infer._replay(factors, order, keep)
-        assert predicted == (stats.multiplications, stats.peak_table_entries)
+        self.check_plan_against_execution(factors, keep, order)
 
     @pytest.mark.parametrize(
         "scopes, keep, order",
@@ -412,10 +438,7 @@ class TestOrderSearch:
     )
     def test_replay_of_scalars_and_lone_buckets(self, scopes, keep, order):
         factors = [Factor(sc, np.ones((3,) * len(sc))) for sc in scopes]
-        stats = EliminationStats()
-        eliminate(factors, keep, order=order, stats=stats)
-        predicted = infer._replay(factors, order, keep)
-        assert predicted == (stats.multiplications, stats.peak_table_entries)
+        self.check_plan_against_execution(factors, keep, order)
 
     @pytest.mark.parametrize(
         "weight_counts, takes_min_weight",
@@ -432,10 +455,14 @@ class TestOrderSearch:
             Factor((3, 5), np.ones((2, 2))),
         ]
         keep = (1, 2, 4, 5)
+        real_plan = infer._plan
+
+        def plan(fs, order, kept):
+            counts = weight_counts if order[0] == 3 else (10, 4)
+            return real_plan(fs, order, kept)[0], *counts
+
         monkeypatch.setattr(infer, "SEARCH_FROM", 0)
-        monkeypatch.setattr(
-            infer, "_replay", lambda fs, order, kept: weight_counts if order[0] == 3 else (10, 4)
-        )
+        monkeypatch.setattr(infer, "_plan", plan)
         stats = EliminationStats()
         eliminate(factors, keep, stats=stats)
         assert stats.ordering == ([3, 0] if takes_min_weight else [0, 3])
@@ -679,16 +706,26 @@ class TestQueryPosterior:
         assert joints
         entry_guard = max(joints) - 1
         mult_guard = sum(joints) - 1
+        assert (entry_guard, mult_guard) == (7, 19)
 
+        # The whole plan is charged before the first product, so an abort
+        # forms none; its partial stats stop at the joint that tripped.
         joints.clear()
-        with pytest.raises(GuardExceededError):
+        with pytest.raises(GuardExceededError, match="table of 8 entries") as entry_abort:
             query_posterior(expanded, query, max_table_entries=entry_guard)
-        assert all(size <= entry_guard for size in joints)
+        assert joints == []
+        assert entry_abort.value.stats.counts() == {
+            "multiplications": 8, "peak_table_entries": 4, "relevant_vars": 3, "pruned_states": 0
+        }
+        assert entry_abort.value.stats.ordering == [0, 1]
 
-        joints.clear()
-        with pytest.raises(GuardExceededError):
+        with pytest.raises(GuardExceededError, match="^20 multiplications") as mult_abort:
             query_posterior(expanded, query, max_multiplications=mult_guard)
-        assert sum(joints) <= mult_guard
+        assert joints == []
+        assert mult_abort.value.stats.counts() == {
+            "multiplications": 16, "peak_table_entries": 8, "relevant_vars": 3, "pruned_states": 0
+        }
+        assert mult_abort.value.stats.ordering == [0, 1, 9]
 
 
 def _all_negative_posterior(net: Network, disease: int) -> np.ndarray:
@@ -787,6 +824,14 @@ class TestEvidencePass:
     def test_eliminate_rejects_no_factors(self, keep):
         with pytest.raises(ValueError, match="at least one factor"):
             eliminate([], keep)
+
+    def test_eliminate_rejects_a_kept_variable_in_no_factor(self, monkeypatch):
+        products = []
+        monkeypatch.setattr(infer, "multiply", lambda *args: products.append(args))
+        factors = [Factor((0, 1), np.ones((2, 2))), Factor((1,), np.ones(2))]
+        with pytest.raises(ValueError, match="no factor holds kept variable 5"):
+            eliminate(factors, keep=(5,))
+        assert products == []  # raised before the first product
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -924,8 +969,12 @@ class TestBruteForce:
 class TestQueryValidation:
     @pytest.mark.parametrize(
         "targets, evidence",
-        [((3,), {}), ((0,), {3: 0}), ((0,), {2: 2})],
-        ids=["target", "evidence-variable", "evidence-state"],
+        [((3,), {}), ((0,), {3: 0}), ((0,), {2: 2}),
+         ((True,), {}), ((0.0,), {}), ((0,), {True: 0}), ((0,), {2.0: 1}),
+         ((0,), {2: True}), ((0,), {2: 1.0}), ((0,), {2: np.bool_(True)})],
+        ids=["target", "evidence-variable", "evidence-state",
+             "bool-target", "float-target", "bool-evidence-variable",
+             "float-evidence-variable", "bool-state", "float-state", "numpy-bool-state"],
     )
     def test_engine_and_oracle_reject_alike(self, targets, evidence):
         net = noisy_or_network()  # three binary variables
@@ -936,6 +985,15 @@ class TestQueryValidation:
         with pytest.raises(ValueError) as oracle:
             brute_force_joint(net, query)
         assert str(oracle.value) == str(engine.value)
+
+    def test_numpy_integers_are_accepted(self):
+        net = noisy_or_network()
+        expanded, _ = expand(net, Strategy.MULTIPLICATIVE)
+        query = Query((np.int64(0),), {np.int32(2): np.int64(1)})
+        posterior, _ = query_posterior(expanded, query)
+        expected, _ = query_posterior(expanded, Query((0,), {2: 1}))
+        np.testing.assert_array_equal(posterior.values, expected.values)
+        np.testing.assert_allclose(brute_force_joint(net, query).values, expected.values)
 
 
 class TestConcurrentQueries:
