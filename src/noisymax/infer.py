@@ -34,10 +34,9 @@ from .factorize import ExpandedNetwork, oracle_cpd
 from .model import Factor, GuardExceededError, Network, NoisyMaxCpd, Variable, node_parents
 
 JOINT_STATE_GUARD = 2**22
-# Min-fill's cost estimate from which ``eliminate`` also tries min-weight.
-# On the benchmark's workloads (seed 1, a 2-core VM), min-weight saved 1% of
-# the multiplications below it, at up to 40% of a query's time; from 10^7
-# on, 19% at 5%.
+# Multiplications in min-fill's plan from which ``eliminate`` also plans min-weight.
+# On the benchmark's workloads (seed 1, a 2-core VM), min-weight saved 1% of the
+# multiplications below it, at up to 40% of a query's time; from 10^7 on, 19% at 5%.
 SEARCH_FROM = 10**6
 # Joint entries from which ``multiply`` splits a product with a batch variable
 # over the CPUs this process may run on.  On a 2-core VM, starting and joining
@@ -195,11 +194,11 @@ def marginalize(f: Factor, v: int) -> Factor:
 
 
 def restrict(f: Factor, v: int, state: int) -> Factor:
-    """Instantiate evidence: keep the selected slice and drop ``v``."""
+    """Instantiate evidence: keep the slice of integer ``state``, drop ``v``."""
     if v not in f.scope:
         raise ValueError(f"variable {v} not in scope {f.scope}")
     axis = f.scope.index(v)
-    if not 0 <= state < f.values.shape[axis]:
+    if not (_is_integer(state) and 0 <= state < f.values.shape[axis]):
         raise ValueError(f"state {state} out of range for variable {v}")
     taken = f.values[(slice(None),) * axis + (state,)]
     return Factor._of(f.scope[:axis] + f.scope[axis + 1 :], taken)
@@ -217,23 +216,19 @@ def align(f: Factor, scope: Sequence[int]) -> Factor:
 
 
 def _min_fill_order(
-    factors: Sequence[Factor], eliminable: set[int], by_weight: bool = False
-) -> tuple[list[int], int]:
+    scopes: Sequence[tuple[int, ...]], size: dict[int, int], eliminable: set[int], by_weight=False
+) -> list[int]:
     """Every ``eliminable`` variable in min-fill order (Kjaerulff 1990), read
-    from scopes and shapes alone: fewest fill edges first, then fewest entries
-    in the product of the factors holding it, then smallest id.  ``by_weight``
-    swaps the first two keys (min-weight).  Also returns the sum of each
-    chosen variable's product entries, a free estimate of the order's cost."""
-    size: dict[int, int] = {}
-    for f in factors:
-        size.update(zip(f.scope, f.values.shape))
+    from ``scopes`` and ``size`` alone: fewest fill edges first, then fewest
+    entries in the product of the factors holding it, then smallest id.
+    ``by_weight`` swaps the first two keys (min-weight)."""
     # Interaction graph: u, w adjacent when a factor holds both.
     # key[u] = [fill (non-adjacent neighbour pairs), product entries, u], the
     # first two swapped by_weight; F and W are their places.
     F, W = (1, 0) if by_weight else (0, 1)
     adj: dict[int, set[int]] = {}
     cover: dict[int, tuple[int, ...]] = {}  # u's largest factor's scope
-    for scope in sorted((f.scope for f in factors), key=len, reverse=True):
+    for scope in sorted(scopes, key=len, reverse=True):
         for u in scope:
             if u in adj:
                 adj[u].update(scope)
@@ -257,7 +252,6 @@ def _min_fill_order(
         nbrs.discard(u)
     candidates = {u: key[u] for u in eliminable}
     order: list[int] = []
-    estimate = 0
     while candidates:
         v = min(candidates.values())[2]
         del candidates[v]
@@ -280,41 +274,41 @@ def _min_fill_order(
             ka[F] -= len(near) - len(nbrs)
             ka[W] //= size[v]
             near.discard(v)
-        estimate += key[v][W]
         order.append(v)
-    return order, estimate
+    return order
 
 
-def _plan(factors: Sequence[Factor], order: list[int], keep: Sequence[int]) -> tuple:
-    """Bucket elimination under ``order``, from scopes and shapes alone.
+def _plan(
+    scopes: Sequence[tuple[int, ...]], size: dict[int, int], order: list[int], keep: Sequence[int]
+) -> tuple:
+    """Bucket elimination under ``order``, from ``scopes`` and ``size`` alone.
     Factor ``k`` fills slot ``k``, the ``i``-th bucket's result slot
-    ``len(factors) + i``; a table waits in the bucket of its earliest
+    ``len(scopes) + i``; a table waits in the bucket of its earliest
     variable in the order, or in a last bucket if it holds kept variables
     only.  One step per bucket: its variable (``None`` for the last), its
     operands' slots in arrival order, each binary product's joint entries,
     and its result's entries.  Also returns the multiplications (the joints'
     sum) and the peak (the largest joint or result)."""
-    size = {u: n for f in factors for u, n in zip(f.scope, f.values.shape)}
     last = len(order)
     position = dict.fromkeys(keep, last)
     position.update(zip(order, range(last)))
     buckets: list[list[int]] = [[] for _ in range(last + 1)]
-    scopes: list[Iterable[int]] = []
+    placed: list[Iterable[int]] = []  # slot k's scope
 
     def place(scope: Iterable[int]):
-        buckets[min(map(position.__getitem__, scope), default=last)].append(len(scopes))
-        scopes.append(scope)
+        buckets[min(map(position.__getitem__, scope), default=last)].append(len(placed))
+        placed.append(scope)
 
-    for f in factors:
-        place(f.scope)
+    for scope in scopes:
+        place(scope)
     steps = []
     multiplications = peak = 0
     for i, slots in enumerate(buckets):
-        joint = set(scopes[slots[0]])
+        joint = set(placed[slots[0]])
         entries = math.prod(map(size.__getitem__, joint))
         joints = []
         for slot in slots[1:]:
-            for u in scopes[slot]:
+            for u in placed[slot]:
                 if u not in joint:
                     joint.add(u)
                     entries *= size[u]
@@ -342,8 +336,8 @@ def eliminate(
 ) -> Factor:
     """Sum every variable outside ``keep`` out of the product of ``factors``,
     each ``evidence`` variable fixed to its observed state, and return the
-    result aligned to ``keep``, by bucket elimination (Dechter 1999).  An
-    empty ``factors``, or a kept variable in no factor, raises ``ValueError``.
+    result aligned to ``keep``, by bucket elimination (Dechter 1999).  An empty
+    ``factors``, or a kept variable repeated or in no factor, raises ``ValueError``.
 
     Evidence: after evidence is fixed, every state of a variable outside
     ``keep`` whose slice is all zero in a factor evidence (or an earlier
@@ -355,11 +349,10 @@ def eliminate(
     since a network's own zeros repeat on every query; no table is written.
     An evidence variable in ``keep`` or in no factor raises ``ValueError``.
 
-    Order: all of it is fixed before any product, by :func:`_min_fill_order`
-    or from an explicit ``order``, which must hold every eliminable variable
-    once (other entries are skipped), and planned by :func:`_plan`.  From
-    min-fill's estimate :data:`SEARCH_FROM` on, min-weight's plan is taken
-    if it multiplies strictly less and peaks no higher.
+    Order: fixed before any product, by :func:`_min_fill_order` or an explicit ``order``
+    (each eliminable variable once, others skipped), and planned by :func:`_plan`, both
+    from scopes and one size map.  A min-fill plan of :data:`SEARCH_FROM` multiplications
+    or more yields to min-weight's if that needs fewer and peaks no higher.
 
     Buckets: the plan is charged to ``stats`` bucket by bucket, and the
     guards checked on each joint, before any product is formed; a tripped
@@ -389,6 +382,8 @@ def eliminate(
     for v in keep:
         if v not in var_index:
             raise ValueError(f"no factor holds kept variable {v}")
+        if keep.count(v) > 1:
+            raise ValueError(f"kept variable {v} is repeated")
     work: set[int] = set()
     for v, state in (evidence or {}).items():
         if v in keep:
@@ -423,12 +418,14 @@ def eliminate(
             break  # this factor changed and is back in ``work``
 
     eliminable = set(var_index) - set(keep)
+    scopes = [f.scope for f in live]
+    size = {u: n for f in live for u, n in zip(f.scope, f.values.shape)}
     if order is None:
-        order, estimate = _min_fill_order(live, eliminable)
-        plan = _plan(live, order, keep)
-        if estimate >= SEARCH_FROM:
-            other, _ = _min_fill_order(live, eliminable, by_weight=True)
-            other_plan = plan if other == order else _plan(live, other, keep)
+        order = _min_fill_order(scopes, size, eliminable)
+        plan = _plan(scopes, size, order, keep)
+        if plan[1] >= SEARCH_FROM:
+            other = _min_fill_order(scopes, size, eliminable, by_weight=True)
+            other_plan = plan if other == order else _plan(scopes, size, other, keep)
             if other_plan[1] < plan[1] and other_plan[2] <= plan[2]:
                 plan = other_plan
     else:
@@ -439,7 +436,7 @@ def eliminate(
         if len(order) > len(eliminable):
             repeated = sorted({v for v in order if order.count(v) > 1})
             raise ValueError(f"explicit order repeats variables {repeated}")
-        plan = _plan(live, order, keep)
+        plan = _plan(scopes, size, order, keep)
 
     for v, _, joints, entries in plan[0]:
         for joint in joints:
@@ -484,12 +481,15 @@ def _relevant_ancestors(net: ExpandedNetwork, query: Query) -> set[int]:
     return kept
 
 
+def _is_integer(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _validate_query(variables: Sequence[Variable], query: Query):
-    """Check ``query``'s ids and states: integers (``bool`` is not one), in
-    range of the original network's ``variables``."""
+    """Check ``query``'s ids and states: integers, in range of ``variables``."""
     originals = range(len(variables))
     for n in (*query.targets, *query.evidence, *query.evidence.values()):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not _is_integer(n):
             raise ValueError(f"query id or state {n!r} is not an integer")
     for t in query.targets:
         if t not in originals:

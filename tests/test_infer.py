@@ -287,6 +287,11 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(self.SELECTOR, 6, 2)
 
+    @pytest.mark.parametrize("state", [True, False, 1.0])
+    def test_state_that_is_not_an_integer(self, state):
+        with pytest.raises(ValueError, match="out of range"):
+            restrict(Factor((0,), [1.0, 2.0]), 0, state)
+
     def test_missing_variable(self):
         with pytest.raises(ValueError):
             restrict(self.SELECTOR, 9, 0)
@@ -334,9 +339,9 @@ class TestChooseNext:
         ]
         assert self.first_eliminated(factors, (1, 2, 4, 5)) == 0
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_whole_order_matches_a_naive_recount(self, data):
+    @staticmethod
+    def draw_scopes(data) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+        """Variable sizes, factor scopes, and the variables they hold."""
         n = data.draw(st.integers(2, 12))
         sizes = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
         scopes = data.draw(
@@ -345,12 +350,12 @@ class TestChooseNext:
                 min_size=1, max_size=14,
             )
         )
-        factors = [Factor(tuple(sc), np.ones([sizes[v] for v in sc])) for sc in scopes]
-        present = sorted({v for sc in scopes for v in sc})
-        stats = EliminationStats()
-        eliminate(factors, present[:1], stats=stats)
+        return sizes, [tuple(sc) for sc in scopes], sorted({v for sc in scopes for v in sc})
 
-        # Min-fill recounted from the live scopes at every step.
+    @staticmethod
+    def naive_order(sizes, scopes, candidates, by_weight=False) -> list[int]:
+        """Min-fill (min-weight ``by_weight``), recounted from the live scopes
+        at every step: the key (fill, entries, id), or (entries, fill, id)."""
         live = [set(sc) for sc in scopes]
 
         def recount(v):
@@ -359,17 +364,35 @@ class TestChooseNext:
                 not any(a in s and b in s for s in live)
                 for a, b in itertools.combinations(sorted(nbrs), 2)
             )
-            return fill, math.prod(sizes[u] for u in nbrs | {v}), v
+            entries = math.prod(sizes[u] for u in nbrs | {v})
+            return (entries, fill, v) if by_weight else (fill, entries, v)
 
-        expected = []
-        candidates = set(present[1:])
+        order = []
+        candidates = set(candidates)
         while candidates:
             v = min(map(recount, candidates))[2]
             merged = set().union(*(s for s in live if v in s)) - {v}
             live = [s for s in live if v not in s] + [merged]
             candidates.discard(v)
-            expected.append(v)
-        assert stats.ordering == expected
+            order.append(v)
+        return order
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_whole_order_matches_a_naive_recount(self, data):
+        sizes, scopes, present = self.draw_scopes(data)
+        factors = [Factor(sc, np.ones([sizes[v] for v in sc])) for sc in scopes]
+        stats = EliminationStats()
+        eliminate(factors, present[:1], stats=stats)
+        assert stats.ordering == self.naive_order(sizes, scopes, present[1:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_min_weight_order_matches_a_naive_recount(self, data):
+        sizes, scopes, present = self.draw_scopes(data)
+        size = {v: sizes[v] for v in present}
+        order = infer._min_fill_order(scopes, size, set(present[1:]), by_weight=True)
+        assert order == self.naive_order(sizes, scopes, present[1:], by_weight=True)
 
     def test_tie_breaks_to_smallest_id(self):
         factors = [
@@ -405,7 +428,9 @@ class TestOrderSearch:
             patch.setattr(infer, "multiply", recording)
             patch.setattr(infer, "marginalize", summing)
             result = eliminate(factors, keep, order=order, stats=stats)
-        steps, multiplications, peak = infer._plan(factors, list(order), keep)
+        size = {u: n for f in factors for u, n in zip(f.scope, f.values.shape)}
+        scopes = [f.scope for f in factors]
+        steps, multiplications, peak = infer._plan(scopes, size, list(order), keep)
         assert joints == [joint for _, _, planned, _ in steps for joint in planned]
         counts = (sum(joints), max(joints + sums + [result.size]))
         assert (stats.multiplications, stats.peak_table_entries) == counts
@@ -457,9 +482,9 @@ class TestOrderSearch:
         keep = (1, 2, 4, 5)
         real_plan = infer._plan
 
-        def plan(fs, order, kept):
+        def plan(scopes, size, order, kept):
             counts = weight_counts if order[0] == 3 else (10, 4)
-            return real_plan(fs, order, kept)[0], *counts
+            return real_plan(scopes, size, order, kept)[0], *counts
 
         monkeypatch.setattr(infer, "SEARCH_FROM", 0)
         monkeypatch.setattr(infer, "_plan", plan)
@@ -478,7 +503,7 @@ class TestOrderSearch:
         return expanded, [v for v in net.variables if v.name.startswith("f")]
 
     @staticmethod
-    def record_orders(monkeypatch) -> list[tuple[list[int], int]]:
+    def record_orders(monkeypatch) -> list[list[int]]:
         calls = []
         ordering = infer._min_fill_order
 
@@ -496,8 +521,7 @@ class TestOrderSearch:
         query = Query((0,), {v.id: v.size - 1 for v in findings})
         calls = self.record_orders(monkeypatch)
         posterior, stats = query_posterior(expanded, query)
-        (min_fill, estimate), (min_weight, _) = calls
-        assert estimate >= infer.SEARCH_FROM
+        min_fill, min_weight = calls
         assert stats.ordering == min_weight
         assert (stats.multiplications, stats.peak_table_entries) == (16_176_000, 2_097_152)
 
@@ -505,14 +529,33 @@ class TestOrderSearch:
         assert (fill_stats.multiplications, fill_stats.peak_table_entries) == (
             20_900_056, 4_194_304
         )
+        assert fill_stats.multiplications >= infer.SEARCH_FROM
         assert np.abs(posterior.values - by_fill.values).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "search_from, counts",
+        [(20_900_056, (16_176_000, 2_097_152)), (20_900_057, (20_900_056, 4_194_304))],
+        ids=["plan-reaches-it", "plan-below-it"],
+    )
+    def test_search_is_gated_on_min_fills_plan(
+        self, findings_net, monkeypatch, search_from, counts
+    ):
+        # Min-fill's plan needs 20,900,056 multiplications here: a gate of that
+        # count searches, one more does not.
+        expanded, findings = findings_net
+        monkeypatch.setattr(infer, "SEARCH_FROM", search_from)
+        calls = self.record_orders(monkeypatch)
+        _, stats = query_posterior(expanded, Query((0,), {v.id: v.size - 1 for v in findings}))
+        assert stats.ordering == calls[-1]
+        assert len(calls) == (2 if search_from <= 20_900_056 else 1)
+        assert (stats.multiplications, stats.peak_table_entries) == counts
 
     def test_cheap_query_orders_once(self, findings_net, monkeypatch):
         expanded, findings = findings_net
         calls = self.record_orders(monkeypatch)
         _, stats = query_posterior(expanded, Query((0,), {v.id: 0 for v in findings}))
-        [(order, estimate)] = calls
-        assert estimate < infer.SEARCH_FROM
+        [order] = calls
+        assert stats.multiplications < infer.SEARCH_FROM
         assert stats.ordering == order
 
 
@@ -832,6 +875,19 @@ class TestEvidencePass:
         with pytest.raises(ValueError, match="no factor holds kept variable 5"):
             eliminate(factors, keep=(5,))
         assert products == []  # raised before the first product
+
+    def test_eliminate_rejects_a_repeated_kept_variable(self, monkeypatch):
+        products = []
+        monkeypatch.setattr(infer, "multiply", lambda *args: products.append(args))
+        factors = [Factor((0, 1), np.ones((2, 2))), Factor((1, 2), np.ones((2, 2)))]
+        with pytest.raises(ValueError, match="kept variable 0 is repeated"):
+            eliminate(factors, keep=(0, 0))
+        assert products == []
+
+    def test_eliminate_rejects_a_bool_evidence_state(self):
+        factors = [Factor((0, 1), np.ones((2, 2))), Factor((1, 2), np.ones((2, 2)))]
+        with pytest.raises(ValueError, match="state True out of range for variable 2"):
+            eliminate(factors, (0,), evidence={2: True})
 
     @settings(max_examples=150, deadline=None)
     @given(
