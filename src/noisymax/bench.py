@@ -12,7 +12,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -277,8 +277,6 @@ def run_benchmark(
     queries: Sequence[Query] | None = None,
     *,
     guard_mults: int = DEFAULT_GUARD_MULTS,
-    guard_entries: int = TABLE_ENTRY_GUARD,
-    expanded: Mapping[Strategy, ExpandedNetwork] | None = None,
 ) -> BenchReport:
     """Run every (query, strategy) cell.  ``queries`` defaults to the
     marginal of every network variable.
@@ -289,8 +287,8 @@ def run_benchmark(
     the agreement check; every cell of a strategy whose expansion a guard
     refuses is aborted with that message and zero counts.  Any disagreement
     among completed cells beyond ``AGREEMENT_ATOL`` raises
-    :class:`AgreementError`.  ``expanded`` replaces a strategy's expansion
-    with the given network, for fault injection.
+    :class:`AgreementError`.  Every query runs under ``guard_mults`` and
+    :data:`TABLE_ENTRY_GUARD`.
     """
     if queries is None:
         query_list = [Query((v.id,), {}) for v in net.variables]
@@ -300,9 +298,6 @@ def run_benchmark(
     # A strategy whose expansion a guard refuses keeps the refusal instead.
     nets: dict[Strategy, ExpandedNetwork | GuardExceededError] = {}
     for strategy in strategies:
-        if expanded is not None and strategy in expanded:
-            nets[strategy] = expanded[strategy]
-            continue
         try:
             nets[strategy], _ = expand(net, strategy)
         except GuardExceededError as exc:
@@ -323,7 +318,7 @@ def run_benchmark(
                         target,
                         query,
                         max_multiplications=guard_mults,
-                        max_table_entries=guard_entries,
+                        max_table_entries=TABLE_ENTRY_GUARD,
                     )
                     reason = None
                     answers.append(posterior.values)

@@ -297,10 +297,6 @@ class ExpandedNetwork:
     nodes: tuple[ExpansionResult, ...]
 
     @cached_property
-    def factors(self) -> tuple[Factor, ...]:
-        return tuple(f for result in self.nodes for f in result.factors)
-
-    @cached_property
     def variables(self) -> tuple[Variable, ...]:
         aux = (v for result in self.nodes for v in result.auxiliary_variables)
         return self.source.variables + tuple(aux)

@@ -222,34 +222,33 @@ def _min_fill_order(
     from ``scopes`` and ``size`` alone: fewest fill edges first, then fewest
     entries in the product of the factors holding it, then smallest id.
     ``by_weight`` swaps the first two keys (min-weight)."""
-    # Interaction graph: u, w adjacent when a factor holds both.
+    # Interaction graph: u, w adjacent when a factor holds both.  It starts
+    # empty, and join inserts every factor's edges, then every fill edge.
     # key[u] = [fill (non-adjacent neighbour pairs), product entries, u], the
     # first two swapped by_weight; F and W are their places.
     F, W = (1, 0) if by_weight else (0, 1)
     adj: dict[int, set[int]] = {}
-    cover: dict[int, tuple[int, ...]] = {}  # u's largest factor's scope
-    for scope in sorted(scopes, key=len, reverse=True):
-        for u in scope:
-            if u in adj:
-                adj[u].update(scope)
-            else:
-                adj[u] = set(scope)
-                cover[u] = scope
     key: dict[int, list[int]] = {}
-    for u, nbrs in adj.items():
-        # Every missing pair has an end outside u's largest factor.  nbrs
-        # still holds u, so the product counts u's own size; r has left
-        # pending, so whether adj[r] still holds r changes nothing.
-        fill = 0
-        rest = nbrs.difference(cover[u])
-        if rest:
-            pending = set(nbrs)
-            for r in rest:
-                pending.discard(r)
-                fill += len(pending - adj[r])
-        entries = math.prod(map(size.__getitem__, nbrs))
-        key[u] = [entries, fill, u] if by_weight else [fill, entries, u]
-        nbrs.discard(u)
+
+    def join(a: int, b: int):
+        # Edge a-b closes a gap for each common neighbour and opens one
+        # between each end and its other neighbours.
+        common = adj[a] & adj[b]
+        for c in common:
+            key[c][F] -= 1
+        for x, y in ((a, b), (b, a)):
+            key[x][F] += len(adj[x]) - len(common)
+            key[x][W] *= size[y]
+            adj[x].add(y)
+
+    for scope in scopes:
+        for u in scope:
+            if u not in adj:
+                adj[u] = set()
+                key[u] = [size[u], 0, u] if by_weight else [0, size[u], u]
+        for a, b in itertools.combinations(scope, 2):
+            if b not in adj[a]:
+                join(a, b)
     candidates = {u: key[u] for u in eliminable}
     order: list[int] = []
     while candidates:
@@ -259,15 +258,7 @@ def _min_fill_order(
         if key[v][F]:
             for a, b in itertools.combinations(nbrs, 2):
                 if b not in adj[a]:
-                    # Fill edge a-b: it closes a gap for each common neighbour
-                    # and opens one between each end and its other neighbours.
-                    common = adj[a] & adj[b]
-                    for c in common:
-                        key[c][F] -= 1
-                    for x, y in ((a, b), (b, a)):
-                        key[x][F] += len(adj[x]) - len(common)
-                        key[x][W] *= size[y]
-                        adj[x].add(y)
+                    join(a, b)
         for a in nbrs:
             near, ka = adj[a], key[a]
             # v formed a missing pair with each of a's neighbours outside the clique.

@@ -390,7 +390,9 @@ def _as_state_list(value, context: str) -> list:
 
 def _floats(value, context: str) -> np.ndarray:
     """``value``, nested JSON lists of numbers, as a float array.  Booleans
-    are rejected: numpy would read ``true`` as 1.0."""
+    are rejected: numpy would read ``true`` as 1.0.  An integer too large
+    for a float is a malformed distribution, as ``1e400`` (read as
+    infinity) is."""
     stack = [value]
     while stack:
         item = stack.pop()
@@ -402,6 +404,8 @@ def _floats(value, context: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{context}: {exc}") from None
+    except OverflowError as exc:
+        raise MalformedDistributionError(f"{context}: {exc}") from None
 
 
 def parse_network(text: str) -> Network:
@@ -413,6 +417,8 @@ def parse_network(text: str) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise NetworkSyntaxError("document nested too deeply") from None
 
     _require(isinstance(doc, dict), "top-level value must be an object")
     _require("variables" in doc, "missing 'variables'")

@@ -173,9 +173,9 @@ class TestRunBenchmark:
         for buckets in report.histograms.values():
             assert sum(buckets.values()) == report.query_count
 
-    def test_corrupted_factor_fails_agreement(self):
+    def test_corrupted_factor_fails_agreement(self, monkeypatch):
         net = single_effect_network(4)
-        broken, _ = expand(net, Strategy.TEMPORAL)
+        broken, sizes = expand(net, Strategy.TEMPORAL)
         nodes = list(broken.nodes)
         factors = list(nodes[-1].factors)
         corrupted = factors[-1].values.copy()
@@ -183,22 +183,21 @@ class TestRunBenchmark:
         factors[-1] = Factor(factors[-1].scope, corrupted)
         nodes[-1] = replace(nodes[-1], factors=tuple(factors))
         injected = ExpandedNetwork(broken.source, broken.strategy, tuple(nodes))
+
+        def corrupting(net, strategy):
+            return (injected, sizes) if strategy is Strategy.TEMPORAL else expand(net, strategy)
+
+        monkeypatch.setattr(bench, "expand", corrupting)
         with pytest.raises(AgreementError) as excinfo:
-            run_benchmark(
-                net,
-                [Strategy.TRIVIAL, Strategy.TEMPORAL],
-                expanded={Strategy.TEMPORAL: injected},
-            )
+            run_benchmark(net, [Strategy.TRIVIAL, Strategy.TEMPORAL])
         assert excinfo.value.deviation > 1e-9
         assert excinfo.value.query
 
-    def test_guard_abort_does_not_poison_agreement(self):
+    def test_guard_abort_does_not_poison_agreement(self, monkeypatch):
         net = single_effect_network(18)
+        monkeypatch.setattr(bench, "TABLE_ENTRY_GUARD", 2**16)
         report = run_benchmark(
-            net,
-            [Strategy.TRIVIAL, Strategy.MULTIPLICATIVE],
-            queries=[Query((18,), {})],
-            guard_entries=2**16,
+            net, [Strategy.TRIVIAL, Strategy.MULTIPLICATIVE], queries=[Query((18,), {})]
         )
         by_strategy = {c.strategy: c for c in report.cells}
         aborted = by_strategy["trivial"]
@@ -250,13 +249,12 @@ class TestRunBenchmark:
         assert {c.reason for c in trivial} == {"max table would hold 2^24 entries"}
         assert report.totals["multiplicative"]["completed"] == 24
 
-    def test_aborted_cell_keeps_pruned_states(self):
+    def test_aborted_cell_keeps_pruned_states(self, monkeypatch):
         net = single_effect_network(18)
+        monkeypatch.setattr(bench, "TABLE_ENTRY_GUARD", 2**16)
         # An absent d0 leaves its contribution variable one state; the
         # trivial table still trips the entry guard.
-        report = run_benchmark(
-            net, [Strategy.TRIVIAL], queries=[Query((18,), {0: 0})], guard_entries=2**16
-        )
+        report = run_benchmark(net, [Strategy.TRIVIAL], queries=[Query((18,), {0: 0})])
         (cell,) = report.cells
         assert cell.status == "aborted"
         assert cell.stats.pruned_states == 2

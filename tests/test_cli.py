@@ -128,6 +128,9 @@ class TestValidate:
             (0, "values", [float("nan"), 1.0], "malformed-distribution"),
             (2, "links", [[[1, 0], ["x", 1]], [[1, 0], [0.4, 0.6]]], "schema-error"),
             (0, "values", [True, False], "schema-error"),
+            # An integer too large for a float, written as 401 bare digits.
+            (0, "values", [10**400, 0], "malformed-distribution"),
+            (2, "links", [[[1, 0], [10**400, 0]], [[1, 0], [0.4, 0.6]]], "malformed-distribution"),
         ],
     )
     def test_bad_numbers_are_rejected_before_inference(
@@ -142,6 +145,14 @@ class TestValidate:
             assert exit_code == 1, argv
             assert out == ""
             assert json.loads(err)["error"] == code
+
+    def test_deeply_nested_document_is_a_syntax_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "syntax-error"
 
     @pytest.mark.parametrize(
         "mutate, message",

@@ -341,12 +341,14 @@ class TestChooseNext:
 
     @staticmethod
     def draw_scopes(data) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
-        """Variable sizes, factor scopes, and the variables they hold."""
+        """Variable sizes, factor scopes, and the variables they hold.  A scope
+        holds 0 to 5 variables: scalar factors and cliques wider than a
+        triangle reach the graph build."""
         n = data.draw(st.integers(2, 12))
         sizes = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
         scopes = data.draw(
             st.lists(
-                st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+                st.lists(st.integers(0, n - 1), min_size=0, max_size=5, unique=True),
                 min_size=1, max_size=14,
             )
         )
@@ -824,7 +826,7 @@ class TestEvidencePass:
     )
     def test_eliminate_with_evidence_matches_restricting_by_hand(self, seed, strategy, data):
         expanded, _ = expand(random_network(seed), strategy)
-        factors = list(expanded.factors)
+        factors = [f for r in expanded.nodes for f in r.factors]
         everything = range(len(expanded.variables))
         keep = tuple(data.draw(st.lists(st.sampled_from(everything), min_size=1, max_size=2,
                                         unique=True)))
@@ -857,7 +859,7 @@ class TestEvidencePass:
 
     def test_eliminate_rejects_bad_evidence(self):
         expanded, _ = expand(noisy_or_network(), Strategy.TRIVIAL)
-        factors = list(expanded.factors)
+        factors = [f for r in expanded.nodes for f in r.factors]
         with pytest.raises(ValueError, match="also kept"):
             eliminate(factors, (2,), evidence={2: 1})
         with pytest.raises(ValueError, match="no factor holds"):
@@ -942,12 +944,12 @@ class TestEvidencePass:
         findings = [v for v, node in enumerate(net.nodes) if isinstance(node, NoisyMaxCpd)]
         for strategy in ALL_STRATEGIES:
             expanded, _ = expand(net, strategy)
-            before = [f.values.tobytes() for f in expanded.factors]
+            before = [f.values.tobytes() for r in expanded.nodes for f in r.factors]
             for finding in findings:
                 for state in range(net.variables[finding].size):
                     query_posterior(expanded, Query((0,), {finding: state}))
                 query_posterior(expanded, Query((0,), {f: 0 for f in findings}))
-            assert [f.values.tobytes() for f in expanded.factors] == before
+            assert [f.values.tobytes() for r in expanded.nodes for f in r.factors] == before
 
     def test_impossible_evidence_raises(self):
         always_a = np.array([[1.0, 0.0], [1.0, 0.0]])
