@@ -196,6 +196,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.out and args.csv and Path(args.out).resolve() == Path(args.csv).resolve():
+        raise CliError("usage", f"--out and --csv name the same file {args.out!r}")
     net = _load(args.file)
     strategies = _parse_strategies(args.strategies)
     guard_mults = _guard_mults(args.guard_mults)

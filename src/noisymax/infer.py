@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -128,10 +128,12 @@ def multiply(a: Factor, b: Factor, sum_out: int | None = None) -> Factor:
     once and formed slice by slice along the first batch variable, each
     slice's matmul writing into it in place.  The slices are dealt
     round-robin to ``min(CPUS, states)`` workers: the calling thread, and
-    threads started here and joined before the return.  With one CPU, below
-    the constant or with no batch, one matmul forms the whole product.  The
-    split is the only parallelism added: each matmul runs with whatever BLAS
-    threads numpy has, one under the benchmark's pin."""
+    helpers under a ``ThreadPoolExecutor`` opened for this product.  Every
+    helper has finished before the return, and a helper's exception is
+    raised in the caller.  With one CPU, below the constant or with no batch,
+    one matmul forms the whole product.  The split is the only parallelism
+    added: each matmul runs with whatever BLAS threads numpy has, one under
+    the benchmark's pin."""
     a_pos = {u: i for i, u in enumerate(a.scope)}
     b_pos = {u: j for j, u in enumerate(b.scope)}
     if sum_out is not None and (sum_out not in a_pos or sum_out not in b_pos):
@@ -158,30 +160,23 @@ def multiply(a: Factor, b: Factor, sum_out: int | None = None) -> Factor:
         return Factor._of(scope, out.reshape(shape))
     out = np.empty(shape)
     rows = n_batch // states
-    errors: list[Exception] = []
 
     def deal(first: int):
-        try:
-            for j in range(first, states, workers):
-                # out[j, ...] stays a view when out is 1-D; out[j] would be a copy.
-                np.matmul(
-                    a_vals[j].reshape(rows, -1, n_inner),
-                    b_vals[j].reshape(rows, n_inner, n_b),
-                    out=out[j, ...].reshape(rows, -1, n_b),
-                )
-        except Exception as error:  # raised again by the calling thread
-            errors.append(error)
+        for j in range(first, states, workers):
+            # out[j, ...] stays a view when out is 1-D; out[j] would be a copy.
+            np.matmul(
+                a_vals[j].reshape(rows, -1, n_inner),
+                b_vals[j].reshape(rows, n_inner, n_b),
+                out=out[j, ...].reshape(rows, -1, n_b),
+            )
 
-    threads = [threading.Thread(target=deal, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
+    # Opened per product: a pool whose threads already exist would never run
+    # work submitted from a fork()ed child.
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(deal, w) for w in range(1, workers)]
         deal(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    for helper in helpers:
+        helper.result()
     return Factor._of(scope, out)
 
 

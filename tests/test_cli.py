@@ -388,6 +388,24 @@ class TestWriteFailures:
         assert code == 1
         assert json.loads(err)["error"] == "io-error"
 
+    def test_bench_out_and_csv_on_one_file_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, noisy_or_file
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid ran with both outputs on one file")
+
+        monkeypatch.setattr(cli, "run_benchmark", never)
+        (tmp_path / "sub").mkdir()
+        report = tmp_path / "report"
+        report.write_bytes(b"earlier report\n")
+        same = tmp_path / "sub" / ".." / "report"
+        code, out, err = run(
+            capsys, "bench", noisy_or_file, "--out", str(report), "--csv", str(same)
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"
+        assert report.read_bytes() == b"earlier report\n"
+
     def test_failed_run_keeps_an_existing_report(
         self, capsys, monkeypatch, tmp_path, noisy_or_file
     ):

@@ -5,6 +5,7 @@ import math
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,6 +195,27 @@ class TestMultiply:
             assert mine == len(range(0, states, min(cpus, states)))
         else:
             assert len(slices) == 1
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_split_slice_error_is_raised_in_the_caller(self, failing):
+        # Variable 0 is the batch: the caller forms slice 0, one helper slice 1.
+        a = Factor((0, 1), np.ones((2, 3)))
+        b = Factor((0, 2), np.ones((2, 4)))
+        matmul, caller = np.matmul, threading.get_ident()
+
+        def failing_matmul(*args, **kwargs):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} slice failed")
+            return matmul(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infer, "CPUS", 2)
+            patch.setattr(infer, "SPLIT_FROM", 0)
+            patch.setattr(np, "matmul", failing_matmul)
+            threads = threading.active_count()
+            with pytest.raises(RuntimeError, match=f"{failing} slice failed"):
+                multiply(a, b)
+        assert threading.active_count() == threads
 
     def test_sum_out_in_neither_operand(self):
         with pytest.raises(ValueError, match="not in both"):
@@ -1022,6 +1044,40 @@ class TestBruteForce:
                 )
                 # Signed intermediates must cancel by the end.
                 assert stats.min_unnormalized >= -1e-9
+
+
+def _cancellation_cases():
+    lossy = pytest.mark.xfail(
+        strict=True, reason="multiplicative loses digits to cancellation (ROADMAP 6(b))"
+    )
+    for eps in (1e-6, 1e-9, 1e-12, 1e-15):
+        for strategy in ALL_STRATEGIES:
+            marks = lossy if strategy is Strategy.MULTIPLICATIVE and eps < 1e-6 else ()
+            yield pytest.param(strategy, eps, marks=marks, id=f"{strategy.value}-{eps:g}")
+
+
+class TestSignedCancellation:
+    @pytest.mark.parametrize("strategy, eps", _cancellation_cases())
+    def test_weak_noisy_or_posterior_matches_exact_enumeration(self, strategy, eps):
+        # Six causes with priors 1/2, each present one firing E with
+        # probability eps: P(E = T) is 1 - prod(1 - eps), the difference the
+        # multiplicative form's signed factors compute.
+        causes = 6
+        variables = tuple(Variable(i, f"C{i}", ("F", "T")) for i in range(causes))
+        net = Network(
+            variables + (Variable(causes, "E", ("F", "T")),),
+            tuple(TableCpd(Factor((i,), [0.5, 0.5])) for i in range(causes))
+            + (NoisyMaxCpd(causes, tuple(range(causes)), ([[1, 0], [1 - eps, eps]],) * causes),),
+        )
+        stay_off = Fraction(1 - eps)
+        fired = [Fraction(0), Fraction(0)]  # by the state of C0
+        for present in itertools.product((0, 1), repeat=causes):
+            fired[present[0]] += 1 - stay_off ** sum(present)
+        exact = fired[1] / (fired[0] + fired[1])
+        tolerance = 1e-9 if strategy is Strategy.MULTIPLICATIVE else 1e-15
+        expanded, _ = expand(net, strategy)
+        posterior, _ = query_posterior(expanded, Query((0,), {causes: 1}))
+        assert abs(posterior.values[1] - float(exact)) <= tolerance
 
 
 class TestQueryValidation:
