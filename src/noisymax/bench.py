@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .factorize import TABLE_ENTRY_GUARD, ExpandedNetwork, Strategy, expand
-from .infer import EliminationStats, Query, query_posterior
+from .factorize import ExpandedNetwork, Strategy, expand
+from .infer import DEFAULT_GUARD_MULTS, EliminationStats, Query, query_posterior
 from .model import (
     Factor,
     GuardExceededError,
@@ -27,7 +27,6 @@ from .model import (
     Variable,
 )
 
-DEFAULT_GUARD_MULTS = 10**8
 AGREEMENT_ATOL = 1e-9
 
 _MASK = (1 << 64) - 1
@@ -288,7 +287,7 @@ def run_benchmark(
     refuses is aborted with that message and zero counts.  Any disagreement
     among completed cells beyond ``AGREEMENT_ATOL`` raises
     :class:`AgreementError`.  Every query runs under ``guard_mults`` and
-    :data:`TABLE_ENTRY_GUARD`.
+    :func:`query_posterior`'s default table-entry guard.
     """
     if queries is None:
         query_list = [Query((v.id,), {}) for v in net.variables]
@@ -315,10 +314,7 @@ def run_benchmark(
             else:
                 try:
                     posterior, stats = query_posterior(
-                        target,
-                        query,
-                        max_multiplications=guard_mults,
-                        max_table_entries=TABLE_ENTRY_GUARD,
+                        target, query, max_multiplications=guard_mults
                     )
                     reason = None
                     answers.append(posterior.values)

@@ -10,20 +10,12 @@ import sys
 import time
 from pathlib import Path
 
-from .bench import (
-    DEFAULT_GUARD_MULTS,
-    AgreementError,
-    GeneratorSpec,
-    generate,
-    query_label,
-    run_benchmark,
-)
-from .factorize import TABLE_ENTRY_GUARD, Strategy, expand
-from .infer import InferenceError, Query, query_posterior
+from .bench import AgreementError, GeneratorSpec, generate, query_label, run_benchmark
+from .factorize import Strategy, expand
+from .infer import DEFAULT_GUARD_MULTS, InferenceError, Query, query_posterior
 from .model import GuardExceededError, Network, NetworkError, parse_network, serialize_network
 
 STRATEGY_NAMES = [s.value for s in Strategy]
-GUARD_MULTS_ENV = "NOISYMAX_GUARD_MULTS"
 
 
 class CliError(Exception):
@@ -73,18 +65,10 @@ def _emit(doc: dict):
     print(json.dumps(doc, indent=2))
 
 
-def _guard_mults(flag: str | None) -> int:
-    """The multiplication guard: ``--guard-mults`` if given, else
-    ``NOISYMAX_GUARD_MULTS`` if set, else ``DEFAULT_GUARD_MULTS``.  Read at
-    run time so that only the commands it guards see it; a value that is not
-    a positive decimal integer is a ``usage`` error."""
-    name, raw = "--guard-mults", flag
-    if flag is None:
-        name, raw = GUARD_MULTS_ENV, os.environ.get(GUARD_MULTS_ENV)
-        if not raw:
-            return DEFAULT_GUARD_MULTS
+def _guard_mults(raw: str) -> int:
+    """``--guard-mults``: a positive decimal integer, else a ``usage`` error."""
     if not raw.strip().isdecimal() or int(raw) < 1:
-        raise CliError("usage", f"{name} must be a positive integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
     return int(raw)
 
 
@@ -148,12 +132,7 @@ def cmd_infer(args) -> int:
     strategy = Strategy(args.strategy)
     expanded, _ = expand(net, strategy)
     start = time.perf_counter()
-    posterior, stats = query_posterior(
-        expanded,
-        query,
-        max_multiplications=_guard_mults(None),
-        max_table_entries=TABLE_ENTRY_GUARD,
-    )
+    posterior, stats = query_posterior(expanded, query, max_multiplications=args.guard_mults)
     wall_time_ms = (time.perf_counter() - start) * 1000.0
 
     if len(targets) == 1:
@@ -200,11 +179,10 @@ def cmd_bench(args) -> int:
         raise CliError("usage", f"--out and --csv name the same file {args.out!r}")
     net = _load(args.file)
     strategies = _parse_strategies(args.strategies)
-    guard_mults = _guard_mults(args.guard_mults)
     for path in (args.out, args.csv):
         if path:
             _check_writable(path)
-    report = run_benchmark(net, strategies, guard_mults=guard_mults)
+    report = run_benchmark(net, strategies, guard_mults=args.guard_mults)
     if args.out:
         _write(args.out, json.dumps(report.to_json(), indent=2) + "\n")
     if args.csv:
@@ -226,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact inference over networks with factored noisy-max nodes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    guard_mults = dict(type=_guard_mults, default=DEFAULT_GUARD_MULTS, metavar="N")
 
     p = sub.add_parser("validate", help="parse and validate a network file")
     p.add_argument("file")
@@ -242,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evidence", action="append", metavar="VAR=state")
     p.add_argument("--strategy", choices=STRATEGY_NAMES, default=Strategy.MULTIPLICATIVE.value)
     p.add_argument("--stats", action="store_true")
+    p.add_argument("--guard-mults", **guard_mults)
     p.set_defaults(handler=cmd_infer)
 
     p = sub.add_parser("gen", help="generate a synthetic network")
@@ -260,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="all")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
-    p.add_argument("--guard-mults", default=None, metavar="N")
+    p.add_argument("--guard-mults", **guard_mults)
     p.set_defaults(handler=cmd_bench)
 
     return parser
@@ -269,7 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # The reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        doc = {"error": "io-error", "message": f"standard output closed: {exc}"}
     except (NetworkError, CliError, InferenceError, GuardExceededError, AgreementError) as exc:
         doc = {"error": exc.code, "message": str(exc)}
         if isinstance(exc, AgreementError):

@@ -30,10 +30,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .factorize import ExpandedNetwork, oracle_cpd
+from .factorize import TABLE_ENTRY_GUARD, ExpandedNetwork, oracle_cpd
 from .model import Factor, GuardExceededError, Network, NoisyMaxCpd, Variable, node_parents
 
 JOINT_STATE_GUARD = 2**22
+# A query's multiplication limit unless its caller sets another.
+DEFAULT_GUARD_MULTS = 10**8
 # Multiplications in min-fill's plan from which ``eliminate`` also plans min-weight.
 # On the benchmark's workloads (seed 1, a 2-core VM), min-weight saved 1% of the
 # multiplications below it, at up to 40% of a query's time; from 10^7 on, 19% at 5%.
@@ -492,8 +494,8 @@ def query_posterior(
     query: Query,
     *,
     order: Sequence[int] | None = None,
-    max_multiplications: int | None = None,
-    max_table_entries: int | None = None,
+    max_multiplications: int | None = DEFAULT_GUARD_MULTS,
+    max_table_entries: int | None = TABLE_ENTRY_GUARD,
 ) -> tuple[Factor, EliminationStats]:
     """Posterior over the query targets by variable elimination.
 
@@ -501,6 +503,11 @@ def query_posterior(
     enter; :func:`eliminate` fixes the evidence (the effect selector
     included; no special casing), drops the states it rules out and, unless
     an explicit ``order`` is supplied, picks the order.
+
+    Guarded by default: a plan over :data:`DEFAULT_GUARD_MULTS`
+    multiplications, or with a joint over :data:`TABLE_ENTRY_GUARD` entries,
+    raises :class:`GuardExceededError` before any table is formed.  ``None``
+    turns a guard off.
 
     The final table is clamped (entries within round-off of zero) and
     normalized; a zero normalization constant raises

@@ -1,5 +1,6 @@
 """Generators, the deterministic RNG stream, and the benchmark runner."""
 
+import functools
 import hashlib
 from dataclasses import replace
 
@@ -21,10 +22,14 @@ from noisymax import (
     run_benchmark,
     serialize_network,
 )
-from noisymax import bench
+from noisymax import bench, infer
 from noisymax.bench import _decade_bucket
 from noisymax.factorize import ExpandedNetwork
 from helpers import single_effect_network, wide_noisy_or_network
+
+# query_posterior with a table-entry guard that the trivial table of an
+# 18-cause effect trips and its multiplicative expansion passes.
+SMALL_TABLE_GUARD = functools.partial(infer.query_posterior, max_table_entries=2**16)
 
 
 class TestSplitMix64:
@@ -195,7 +200,7 @@ class TestRunBenchmark:
 
     def test_guard_abort_does_not_poison_agreement(self, monkeypatch):
         net = single_effect_network(18)
-        monkeypatch.setattr(bench, "TABLE_ENTRY_GUARD", 2**16)
+        monkeypatch.setattr(bench, "query_posterior", SMALL_TABLE_GUARD)
         report = run_benchmark(
             net, [Strategy.TRIVIAL, Strategy.MULTIPLICATIVE], queries=[Query((18,), {})]
         )
@@ -251,7 +256,7 @@ class TestRunBenchmark:
 
     def test_aborted_cell_keeps_pruned_states(self, monkeypatch):
         net = single_effect_network(18)
-        monkeypatch.setattr(bench, "TABLE_ENTRY_GUARD", 2**16)
+        monkeypatch.setattr(bench, "query_posterior", SMALL_TABLE_GUARD)
         # An absent d0 leaves its contribution variable one state; the
         # trivial table still trips the entry guard.
         report = run_benchmark(net, [Strategy.TRIVIAL], queries=[Query((18,), {0: 0})])

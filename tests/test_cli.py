@@ -3,10 +3,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import noisymax
 from noisymax import AgreementError, NegativeMassError, cli
 from noisymax.model import parse_network, serialize_network
 from helpers import (
@@ -55,17 +59,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def argparse_usage_error(capsys, *argv) -> dict:
+    """The one JSON ``usage`` line that argparse writes to stderr before
+    exiting with code 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(list(argv))
+    assert excinfo.value.code == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "usage", argv
+    return payload
+
+
 class TestValidate:
     def test_valid_file(self, capsys, noisy_or_file):
         code, out, err = run(capsys, "validate", noisy_or_file)
         assert code == 0
         assert json.loads(out) == {"ok": True, "variables": 3, "nodes": 3}
-
-    def test_guard_variable_is_not_read(self, capsys, monkeypatch, noisy_or_file):
-        monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "abc")
-        code, out, err = run(capsys, "validate", noisy_or_file)
-        assert code == 0
-        assert json.loads(out)["ok"] is True
 
     def test_cyclic_file(self, capsys, tmp_path):
         doc = {
@@ -313,23 +325,20 @@ class TestInfer:
         assert payload["error"] == "negative-mass"
         assert "-0.5" in payload["message"]
 
-    def test_guard_applies_to_infer(self, capsys, monkeypatch, noisy_or_file):
-        monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "1")
-        code, out, err = run(capsys, "infer", noisy_or_file, "--target", "E")
+    def test_guard_applies_to_infer(self, capsys, noisy_or_file):
+        code, out, err = run(capsys, "infer", noisy_or_file, "--target", "E", "--guard-mults", "1")
         assert code == 1
         payload = json.loads(err)
         assert payload["error"] == "guard-exceeded"
         assert "multiplications exceed the guard" in payload["message"]
 
-    def test_malformed_guard_variable_is_a_usage_error(self, capsys, monkeypatch, noisy_or_file):
-        for raw in ("abc", "0", "-3", "1e8"):
-            monkeypatch.setenv("NOISYMAX_GUARD_MULTS", raw)
-            code, out, err = run(capsys, "infer", noisy_or_file, "--target", "E")
-            assert code == 2, raw
-            assert out == ""
-            payload = json.loads(err)
-            assert payload["error"] == "usage", raw
-            assert "NOISYMAX_GUARD_MULTS" in payload["message"]
+    def test_malformed_guard_flag_is_a_usage_error(self, capsys, noisy_or_file):
+        for raw in ("abc", "0", "-3", "1e8", ""):
+            argv = ["infer", noisy_or_file, "--target", "E", "--guard-mults", raw]
+            payload = argparse_usage_error(capsys, *argv)
+            assert payload["message"] == (
+                f"argument --guard-mults: must be a positive integer, got {raw!r}"
+            )
 
 
 class TestGen:
@@ -423,6 +432,28 @@ class TestWriteFailures:
         assert report.read_text() == "earlier report\n"
         assert not cells.exists()
 
+    def test_closed_stdout_is_an_io_error(self, capsys, tmp_path):
+        # The expand report of this network (about 290 KB) outgrows a pipe's
+        # buffer, so the write meets the closed pipe.
+        net = str(tmp_path / "net.json")
+        gen = ["gen", "--seed", "1", "--diseases", "200", "--findings", "400"]
+        assert run(capsys, *gen, "--max-parents", "5", "-o", net)[0] == 0
+        src = str(Path(noisymax.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+            [sys.executable, "-m", "noisymax", "expand", net],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "io-error"
+
 
 class TestBench:
     def test_writes_report_and_csv(self, capsys, tmp_path, noisy_or_file):
@@ -461,17 +492,16 @@ class TestBench:
             "selector would hold 20*2^19 entries"
         }
 
-    def test_guard_variable_then_flag(self, capsys, monkeypatch, tmp_path):
+    def test_guard_default_then_flag(self, capsys, tmp_path):
         path, report = tmp_path / "net.json", tmp_path / "report.json"
         path.write_text(serialize_network(single_effect_network(6)))
-        monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "5")
         argv = ["bench", str(path), "--strategies", "trivial", "--out", str(report)]
         assert run(capsys, *argv)[0] == 0
+        assert {c["status"] for c in json.loads(report.read_text())["cells"]} == {"ok"}
+        assert run(capsys, *argv, "--guard-mults", "5")[0] == 0
         cells = {c["query"]: c for c in json.loads(report.read_text())["cells"]}
         assert cells["e"]["status"] == "aborted"
         assert cells["e"]["reason"] == "8 multiplications exceed the guard"
-        assert run(capsys, *argv, "--guard-mults", "100000000")[0] == 0
-        assert {c["status"] for c in json.loads(report.read_text())["cells"]} == {"ok"}
 
     def test_unknown_strategy(self, capsys, noisy_or_file):
         for argv in (
@@ -506,27 +536,21 @@ class TestBench:
             assert payload["error"] == "usage", argv
             assert "twice" in payload["message"]
 
-    def test_nonpositive_guard_is_a_usage_error(self, capsys, monkeypatch, noisy_or_file):
-        monkeypatch.setenv("NOISYMAX_GUARD_MULTS", "5")
+    def test_nonpositive_guard_is_a_usage_error(self, capsys, noisy_or_file):
         for raw in ("0", "-1", "abc", ""):
-            code, out, err = run(capsys, "bench", noisy_or_file, "--guard-mults", raw)
-            assert code == 2, raw
-            assert out == ""
-            payload = json.loads(err)
-            assert payload["error"] == "usage", raw
+            payload = argparse_usage_error(capsys, "bench", noisy_or_file, "--guard-mults", raw)
             assert "--guard-mults" in payload["message"]
 
-    def test_usage_error_exits_nonzero(self, capsys, noisy_or_file):
+    def test_usage_error_exits_nonzero(self, capsys, noisy_or_file, tmp_path):
         for argv in (
             ["infer", noisy_or_file],  # --target is required
             ["infer", noisy_or_file, "--target", "E", "--strategy", "bogus"],
+            # Only infer and bench take a guard.
+            ["validate", noisy_or_file, "--guard-mults", "5"],
+            ["expand", noisy_or_file, "--guard-mults", "5"],
+            ["gen", "--seed", "1", "-o", str(tmp_path / "net.json"), "--guard-mults", "5"],
         ):
-            with pytest.raises(SystemExit) as excinfo:
-                cli.main(argv)
-            assert excinfo.value.code == 2
-            payload = json.loads(capsys.readouterr().err)
-            assert payload["error"] == "usage"
-            assert payload["message"]
+            assert argparse_usage_error(capsys, *argv)["message"]
 
     def test_help_stays_plain_text(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -569,9 +593,8 @@ class TestOutputPins:
         ids=["bn2o-seed11-m3", "multilevel-seed12"],
     )
     def test_expand_and_bench_bytes(
-        self, capsys, monkeypatch, tmp_path, gen_args, expand_digest, bench_digest
+        self, capsys, tmp_path, gen_args, expand_digest, bench_digest
     ):
-        monkeypatch.delenv("NOISYMAX_GUARD_MULTS", raising=False)
         net, report = str(tmp_path / "net.json"), str(tmp_path / "report.json")
         assert run(capsys, "gen", *gen_args, "-o", net)[0] == 0
         code, out, err = run(capsys, "expand", net)
@@ -600,9 +623,8 @@ class TestOutputPins:
         ids=["bn2o-seed11-m3", "multilevel-seed12"],
     )
     def test_bench_key_order_and_csv_rows(
-        self, capsys, monkeypatch, tmp_path, gen_args, report_digest, csv_digest
+        self, capsys, tmp_path, gen_args, report_digest, csv_digest
     ):
-        monkeypatch.delenv("NOISYMAX_GUARD_MULTS", raising=False)
         net, report, rows = (str(tmp_path / name) for name in ("net.json", "r.json", "r.csv"))
         assert run(capsys, "gen", *gen_args, "-o", net)[0] == 0
         assert run(capsys, "bench", net, "--out", report, "--csv", rows)[0] == 0
@@ -637,9 +659,8 @@ class TestOutputPins:
         ids=["bn2o-multiplicative", "bn2o-parent-divorcing", "multilevel-two-targets"],
     )
     def test_infer_stats_items(
-        self, capsys, monkeypatch, tmp_path, gen_args, query_args, expected
+        self, capsys, tmp_path, gen_args, query_args, expected
     ):
-        monkeypatch.delenv("NOISYMAX_GUARD_MULTS", raising=False)
         net = str(tmp_path / "net.json")
         assert run(capsys, "gen", *gen_args, "-o", net)[0] == 0
         code, out, err = run(capsys, "infer", net, *query_args, "--stats")

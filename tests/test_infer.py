@@ -319,7 +319,7 @@ class TestRestrict:
             restrict(self.SELECTOR, 9, 0)
 
 
-class TestChooseNext:
+class TestMinFillOrder:
     """The first variable :func:`eliminate` picks."""
 
     def chain_factors(self):
@@ -462,7 +462,7 @@ class TestOrderSearch:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_replay_predicts_the_counts_exactly(self, data):
+    def test_plan_predicts_the_counts_exactly(self, data):
         n = data.draw(st.integers(1, 9))
         sizes = data.draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
         scopes = data.draw(
@@ -485,7 +485,7 @@ class TestOrderSearch:
             ([(), ()], (), ()),  # scalars only
         ],
     )
-    def test_replay_of_scalars_and_lone_buckets(self, scopes, keep, order):
+    def test_plan_of_scalars_and_lone_buckets(self, scopes, keep, order):
         factors = [Factor(sc, np.ones((3,) * len(sc))) for sc in scopes]
         self.check_plan_against_execution(factors, keep, order)
 
@@ -626,7 +626,7 @@ class TestQueryPosterior:
         _, stats = query_posterior(expanded, Query((0,), {}))
         assert len(stats.ordering) == len(set(stats.ordering))
 
-    def test_heuristics_and_random_orders_agree(self):
+    def test_min_fill_and_random_orders_agree(self):
         rng = np.random.default_rng(31)
         net = random_network(5)
         query = Query((0,), {})

@@ -1,5 +1,6 @@
 """Model layer: table layout, parsing, validation, round-trips."""
 
+import ast
 import itertools
 import json
 import re
@@ -279,6 +280,23 @@ class TestParse:
         }
         with pytest.raises(CycleError, match="cycle detected"):
             parse_network(json.dumps(doc))
+
+    def test_cycle_error_names_the_cycle_only(self):
+        # A feeds the B <-> C cycle and D hangs below it; neither is on it.
+        def table(n_parents):
+            return {"type": "table", "values": [0.5] * 2 ** (n_parents + 1)}
+
+        parents = {"A": [], "B": ["A", "C"], "C": ["B"], "D": ["C"]}
+        doc = {
+            "variables": [{"name": n, "states": ["F", "T"]} for n in parents],
+            "nodes": [
+                {"child": n, "parents": ps, "cpd": table(len(ps))} for n, ps in parents.items()
+            ],
+        }
+        with pytest.raises(CycleError) as excinfo:
+            parse_network(json.dumps(doc))
+        names = str(excinfo.value).removeprefix("cycle detected among variables ")
+        assert sorted(ast.literal_eval(names)) == ["B", "C"]
 
     def test_dangling_parent(self):
         doc = json.loads(doc_text())
