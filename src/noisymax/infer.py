@@ -103,12 +103,10 @@ class EliminationStats:
     ordering: list[int] = field(default_factory=list)
     relevant_vars: int = 0
     pruned_states: int = 0  # dropped by the evidence pass, restricted-away variables' included
-    min_unnormalized: float = 0.0
 
     def counts(self) -> dict[str, int]:
         """The counts a query reports, in report order, for ``infer --stats``
-        and bench cells alike; ``ordering`` and ``min_unnormalized`` are not
-        reported."""
+        and bench cells alike; ``ordering`` is not reported."""
         return {
             "multiplications": self.multiplications,
             "peak_table_entries": self.peak_table_entries,
@@ -317,7 +315,6 @@ def eliminate(
     keep: Sequence[int],
     *,
     evidence: Mapping[int, int] | None = None,
-    order: Sequence[int] | None = None,
     stats: EliminationStats | None = None,
     max_multiplications: int | None = None,
     max_table_entries: int | None = None,
@@ -337,10 +334,10 @@ def eliminate(
     since a network's own zeros repeat on every query; no table is written.
     An evidence variable in ``keep`` or in no factor raises ``ValueError``.
 
-    Order: fixed before any product, by :func:`_min_fill_order` or an explicit ``order``
-    (each eliminable variable once, others skipped), and planned by :func:`_plan`, both
-    from scopes and one size map.  A min-fill plan of :data:`SEARCH_FROM` multiplications
-    or more yields to min-weight's if that needs fewer and peaks no higher.
+    Order: fixed before any product by :func:`_min_fill_order` and planned by
+    :func:`_plan`, both from scopes and one size map.  A min-fill plan of
+    :data:`SEARCH_FROM` multiplications or more yields to min-weight's if that
+    needs fewer and peaks no higher.
 
     Buckets: the plan is charged to ``stats`` bucket by bucket, and the
     guards checked on each joint, before any product is formed; a tripped
@@ -408,23 +405,13 @@ def eliminate(
     eliminable = set(var_index) - set(keep)
     scopes = [f.scope for f in live]
     size = {u: n for f in live for u, n in zip(f.scope, f.values.shape)}
-    if order is None:
-        order = _min_fill_order(scopes, size, eliminable)
-        plan = _plan(scopes, size, order, keep)
-        if plan[1] >= SEARCH_FROM:
-            other = _min_fill_order(scopes, size, eliminable, by_weight=True)
-            other_plan = plan if other == order else _plan(scopes, size, other, keep)
-            if other_plan[1] < plan[1] and other_plan[2] <= plan[2]:
-                plan = other_plan
-    else:
-        order = [v for v in order if v in eliminable]
-        missing = eliminable.difference(order)
-        if missing:
-            raise ValueError(f"explicit order misses eliminable variables {sorted(missing)}")
-        if len(order) > len(eliminable):
-            repeated = sorted({v for v in order if order.count(v) > 1})
-            raise ValueError(f"explicit order repeats variables {repeated}")
-        plan = _plan(scopes, size, order, keep)
+    order = _min_fill_order(scopes, size, eliminable)
+    plan = _plan(scopes, size, order, keep)
+    if plan[1] >= SEARCH_FROM:
+        other = _min_fill_order(scopes, size, eliminable, by_weight=True)
+        other_plan = plan if other == order else _plan(scopes, size, other, keep)
+        if other_plan[1] < plan[1] and other_plan[2] <= plan[2]:
+            plan = other_plan
 
     for v, _, joints, entries in plan[0]:
         for joint in joints:
@@ -493,7 +480,6 @@ def query_posterior(
     net: ExpandedNetwork,
     query: Query,
     *,
-    order: Sequence[int] | None = None,
     max_multiplications: int | None = DEFAULT_GUARD_MULTS,
     max_table_entries: int | None = TABLE_ENTRY_GUARD,
 ) -> tuple[Factor, EliminationStats]:
@@ -501,8 +487,8 @@ def query_posterior(
 
     Only the factors of the targets, the evidence and their ancestors
     enter; :func:`eliminate` fixes the evidence (the effect selector
-    included; no special casing), drops the states it rules out and, unless
-    an explicit ``order`` is supplied, picks the order.
+    included; no special casing), drops the states it rules out and picks
+    the order.
 
     Guarded by default: a plan over :data:`DEFAULT_GUARD_MULTS`
     multiplications, or with a joint over :data:`TABLE_ENTRY_GUARD` entries,
@@ -520,18 +506,17 @@ def query_posterior(
         [f for child in sorted(kept) for f in net.nodes[child].factors],
         query.targets,
         evidence=query.evidence,
-        order=order,
         stats=stats,
         max_multiplications=max_multiplications,
         max_table_entries=max_table_entries,
     )
 
     values = result.values
-    stats.min_unnormalized = float(values.min())
+    lowest = float(values.min())
     max_abs = float(np.abs(values).max())
-    if stats.min_unnormalized < -NEGATIVE_MASS_RTOL * max_abs:
+    if lowest < -NEGATIVE_MASS_RTOL * max_abs:
         raise NegativeMassError(
-            f"unnormalized posterior entry {stats.min_unnormalized} below "
+            f"unnormalized posterior entry {lowest} below "
             f"-{NEGATIVE_MASS_RTOL} of the table maximum {max_abs}"
         )
     values = np.where(values < 0.0, 0.0, values)

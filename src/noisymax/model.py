@@ -151,6 +151,8 @@ class Factor:
         """Build a factor from the canonical flat layout."""
         values = np.asarray(flat, dtype=float)
         expected = math.prod(sizes) if sizes else 1
+        if values.ndim != 1:
+            raise ValueError(f"expected a flat list of {expected} entries, got {values.ndim} axes")
         if values.size != expected:
             raise ValueError(f"expected {expected} entries, got {values.size}")
         return cls(tuple(scope), values.reshape(tuple(sizes)))
@@ -380,14 +382,14 @@ def _as_state_list(value, context: str) -> list:
 
 def _floats(value, context: str) -> np.ndarray:
     """``value``, nested JSON lists of numbers, as a float array.  Booleans
-    are rejected: numpy would read ``true`` as 1.0.  An integer too large
-    for a float is a malformed distribution, as ``1e400`` (read as
-    infinity) is."""
+    and strings are rejected: numpy would read ``true`` as 1.0 and ``"0.5"``
+    as 0.5.  An integer too large for a float is a malformed distribution,
+    as ``1e400`` (read as infinity) is."""
     stack = [value]
     while stack:
         item = stack.pop()
-        if isinstance(item, bool):
-            raise SchemaError(f"{context}: {str(item).lower()} is not a number")
+        if isinstance(item, (bool, str)):
+            raise SchemaError(f"{context}: {json.dumps(item)} is not a number")
         if isinstance(item, list):
             stack.extend(item)
     try:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
 from noisymax import (
@@ -14,6 +16,7 @@ from noisymax import (
     Variable,
     eliminate,
     generate,
+    infer,
 )
 
 
@@ -122,6 +125,17 @@ def recover_cpd(result: ExpansionResult, cpd: NoisyMaxCpd) -> Factor:
     """Multiply an expansion's factors and sum out its auxiliary variables.
     Returns the conditional table aligned to ``causes + (effect,)``."""
     return eliminate(result.factors, cpd.causes + (cpd.effect,))
+
+
+def fixed_order(order):
+    """Context in which ``eliminate`` plans ``order``, its eliminable
+    variables in turn: min-fill returns it, and so does min-weight, so the
+    search never plans another."""
+    return mock.patch.object(
+        infer,
+        "_min_fill_order",
+        lambda scopes, size, eliminable, by_weight=False: [v for v in order if v in eliminable],
+    )
 
 
 def random_network(seed: int, max_domain: int = 4) -> Network:

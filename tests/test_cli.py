@@ -140,6 +140,8 @@ class TestValidate:
             (0, "values", [float("nan"), 1.0], "malformed-distribution"),
             (2, "links", [[[1, 0], ["x", 1]], [[1, 0], [0.4, 0.6]]], "schema-error"),
             (0, "values", [True, False], "schema-error"),
+            (0, "values", ["0.25", " 0.75 "], "schema-error"),
+            (0, "values", [[0.5], [0.5]], "schema-error"),
             # An integer too large for a float, written as 401 bare digits.
             (0, "values", [10**400, 0], "malformed-distribution"),
             (2, "links", [[[1, 0], [10**400, 0]], [[1, 0], [0.4, 0.6]]], "malformed-distribution"),

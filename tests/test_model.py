@@ -163,6 +163,8 @@ class TestParse:
             ("links", [[[1, 0], [{}, 1]], [[1, 0], [0.4, 0.6]]]),
             ("leak", ["x", 1]),
             ("leak", [[1], [0, 0]]),
+            ("links", [[[1, 0], [0.5, "5e-1"]], [[1, 0], [0.4, 0.6]]]),
+            ("leak", ["0.9", "0.1"]),
         ],
     )
     def test_malformed_link_numbers_are_schema_errors(self, key, value):
