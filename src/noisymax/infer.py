@@ -3,16 +3,17 @@
 The engine runs on expanded networks (plain factors only) and tolerates
 negative entries everywhere except in the final, fully marginalized target
 table, where tiny negative residue from exact cancellations is clamped to
-zero.  One kernel, :func:`multiply`, forms every binary product as a batched
-matrix product, and a variable is summed out inside the last product of its
-bucket, so the bucket's joint is never allocated.  A product whose joint
-reaches :data:`SPLIT_FROM` entries and that has a batch variable is split
-along it over the :data:`CPUS` the process may run on; the result's scope,
-its values (up to the order of a sum's terms) and every count are those of
-the unsplit product.  Cost is counted once, from :func:`eliminate`'s plan
-of every product before any is formed, as the paper's model counts it: one
-scalar multiplication per entry of each binary product's joint, and the
-peak table size, joints included.
+zero.  One kernel, :func:`multiply`, forms each bucket's product with its
+variable summed out inside it, so the bucket's joint is never allocated.  A
+bucket whose joint has fewer than :data:`EINSUM_TO` entries is one
+``np.einsum`` call; a larger one is a chain of batched matrix products, and
+a product of that chain whose joint reaches :data:`SPLIT_FROM` entries and
+that has a batch variable is split along it over the :data:`CPUS` the
+process may run on.  Either path gives the chain's scope, and its values up
+to the order of a sum's terms; no count depends on the path.  Cost is
+counted once, from :func:`eliminate`'s plan of every product before any is
+formed, as the paper's model counts it: one scalar multiplication per entry
+of each binary product's joint, and the peak table size, joints included.
 
 ``brute_force_joint`` answers the same queries from the original network by
 enumerating the full joint; it shares no code path with elimination and acts
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -45,6 +47,15 @@ SEARCH_FROM = 10**6
 # a thread took about 0.1 ms, and a product of 2**18 entries with transposed
 # operands 10 ms unsplit and 5.6 ms split.
 SPLIT_FROM = 2**18
+# Joint entries below which ``multiply`` forms a bucket's product in one
+# einsum rather than a chain of matmuls.  On a pass of each benchmark workload
+# (seed 1, a 2-core VM), einsum took a third of the chain's time on buckets of
+# three or more tables up to 2**8 entries and 0.7 of it on pairs, but 1.4 to
+# 7.5 times the chain's on buckets of three or more tables from 2**10 on.
+EINSUM_TO = 2**10
+# np.einsum refuses 32 operands or more under numpy 1.x (NPY_MAXARGS is 32)
+# and 64 or more under 2.x; chunks of 31 pass under both.
+_EINSUM_OPERANDS = 31
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 NEGATIVE_MASS_RTOL = 1e-9
 
@@ -115,35 +126,97 @@ class EliminationStats:
         }
 
 
-def multiply(a: Factor, b: Factor, sum_out: int | None = None) -> Factor:
-    """Product of ``a`` and ``b`` with ``sum_out``, which both must hold,
-    summed out inside it: one batched matrix product ``(batch, a-own, v) @
-    (batch, v, b-own)``, batch being the other shared variables and ``v``
-    ``sum_out``'s axis, of size 1 when nothing is summed.  The output scope
-    is batch, then ``a``'s own variables, then ``b``'s.  Every binary product
-    the engine takes is formed here; :func:`eliminate` counts its cost.
+def multiply(a: Factor, b: Factor, *more: Factor, sum_out: int | None = None) -> Factor:
+    """Product of ``a``, ``b`` and ``more``, a bucket, with ``sum_out``,
+    which every operand must hold, summed out inside it, so the joint is
+    never allocated.  The output scope is the one a left-to-right chain of
+    binary products gives, each putting the shared variables first, then
+    its left operand's own, then its right operand's, with ``sum_out``
+    dropped in the last.  Every product the engine takes is formed here;
+    :func:`eliminate` counts its cost.
 
-    Split: when the joint, ``sum_out`` included, has at least
-    :data:`SPLIT_FROM` entries and there is a batch, the output is allocated
-    once and formed slice by slice along the first batch variable, each
-    slice's matmul writing into it in place.  The slices are dealt
-    round-robin to ``min(CPUS, states)`` workers: the calling thread, and
-    helpers under a ``ThreadPoolExecutor`` opened for this product.  Every
-    helper has finished before the return, and a helper's exception is
-    raised in the caller.  With one CPU, below the constant or with no batch,
-    one matmul forms the whole product.  The split is the only parallelism
-    added: each matmul runs with whatever BLAS threads numpy has, one under
-    the benchmark's pin."""
+    Below :data:`EINSUM_TO` joint entries, ``sum_out`` included, one
+    ``np.einsum`` call forms the product, or one per 31 operands, the most
+    numpy 1.x takes, ``sum_out`` kept until the last.  From it on, each
+    binary product of the chain is one batched matrix product ``(batch,
+    left-own, v) @ (batch, v, right-own)``, batch being the other shared
+    variables and ``v`` ``sum_out``'s axis in the last product, of size 1
+    elsewhere.
+
+    Split: when a binary product's joint, ``sum_out`` included, has at
+    least :data:`SPLIT_FROM` entries and there is a batch, the output is
+    allocated once and formed slice by slice along the first batch
+    variable, each slice's matmul writing into it in place.  The slices are
+    dealt round-robin to ``min(CPUS, states)`` workers: the calling thread,
+    and helpers under a ``ThreadPoolExecutor`` opened for this product.
+    Every helper has finished before the return, and a helper's exception
+    is raised in the caller.  With one CPU, below the constant or with no
+    batch, one matmul forms the whole product.  The split is the only
+    parallelism added: each matmul runs with whatever BLAS threads numpy
+    has, one under the benchmark's pin."""
+    factors = (a, b, *more)
+    # The operands' entries multiplied bound the joint, so below EINSUM_TO
+    # the size map is not needed: einsum refuses two sizes of a variable
+    # itself, unless one is 1, which it would broadcast.  An operand with an
+    # axis of one state counts as reaching the constant, and is checked.
+    bound = 1
+    for f in factors:
+        if sum_out is not None and sum_out not in f.scope:
+            raise ValueError(f"variable {sum_out} not in every scope {[f.scope for f in factors]}")
+        bound *= EINSUM_TO if 1 in f.values.shape else f.values.size
+    if bound >= EINSUM_TO or len(factors) > _EINSUM_OPERANDS:
+        size = _sizes(factors)
+        # einsum takes at most 52 labels, which a joint below EINSUM_TO has
+        # unless the operands have axes of one state.
+        if math.prod(size.values()) >= EINSUM_TO or len(size) > 52:
+            result = a
+            for f in factors[1:-1]:
+                result = _matmul_product(result, f, None)
+            return _matmul_product(result, factors[-1], sum_out)
+    while len(factors) > _EINSUM_OPERANDS:
+        factors = (_einsum(factors[:_EINSUM_OPERANDS], None), *factors[_EINSUM_OPERANDS:])
+    return _einsum(factors, sum_out)
+
+
+def _sizes(factors: Sequence[Factor]) -> dict[int, int]:
+    """Each variable's size in ``factors``; two sizes of one raise ``ValueError``."""
+    size: dict[int, int] = {}
+    for f in factors:
+        for u, n in zip(f.scope, f.values.shape):
+            if size.setdefault(u, n) != n:
+                raise ValueError(f"domain size mismatch for shared variable {u}: {size[u]} vs {n}")
+    return size
+
+
+def _einsum(factors: Sequence[Factor], sum_out: int | None) -> Factor:
+    """The product of ``factors`` in the chain's scope, with ``sum_out``
+    (``None``, or held by every one) summed out: one einsum."""
+    scope = list(factors[0].scope)
+    for f in factors[1:]:
+        held = f.scope
+        if held:
+            scope = [u for u in scope if u in held] + [u for u in scope if u not in held]
+            scope += [u for u in held if u not in scope]
+    if sum_out is None:
+        label = dict(zip(scope, string.ascii_letters))
+    else:
+        scope.remove(sum_out)
+        label = dict(zip([*scope, sum_out], string.ascii_letters))
+    spec = ",".join(["".join(map(label.__getitem__, f.scope)) for f in factors])
+    try:
+        values = np.einsum(spec + "->" + string.ascii_letters[: len(scope)], *[f.values for f in factors])
+    except ValueError:
+        _sizes(factors)  # raises the mismatch einsum found, if it was one
+        raise
+    return Factor._of(tuple(scope), values)
+
+
+def _matmul_product(a: Factor, b: Factor, sum_out: int | None) -> Factor:
+    """One binary product of :func:`multiply`'s chain, whose operands it checked."""
     a_pos = {u: i for i, u in enumerate(a.scope)}
     b_pos = {u: j for j, u in enumerate(b.scope)}
-    if sum_out is not None and (sum_out not in a_pos or sum_out not in b_pos):
-        raise ValueError(f"variable {sum_out} not in both scopes {a.scope} and {b.scope}")
     inner = [] if sum_out is None else [sum_out]
     batch = [u for u in a.scope if u in b_pos and u != sum_out]
-    for u in batch + inner:
-        na, nb = a.values.shape[a_pos[u]], b.values.shape[b_pos[u]]
-        if na != nb:
-            raise ValueError(f"domain size mismatch for shared variable {u}: {na} vs {nb}")
     a_own = [u for u in a.scope if u not in b_pos]
     b_own = [u for u in b.scope if u not in a_pos]
     a_vals = a.values.transpose([a_pos[u] for u in batch + a_own + inner])
@@ -342,9 +415,10 @@ def eliminate(
     Buckets: the plan is charged to ``stats`` bucket by bucket, and the
     guards checked on each joint, before any product is formed; a tripped
     guard raises :class:`GuardExceededError` carrying the ``stats`` up to
-    that joint, and no table has been allocated.  Then each bucket's tables
-    are multiplied in arrival order, the variable summed out inside the
-    last binary product; the last bucket's product is the answer.
+    that joint, and no table has been allocated.  Then each bucket of two
+    or more tables is one :func:`multiply` call over them in arrival
+    order, its variable summed out inside it, and a lone table has its
+    variable marginalized; the last bucket's result is the answer.
     """
     if stats is None:
         stats = EliminationStats()
@@ -430,11 +504,12 @@ def eliminate(
 
     tables: list[Factor | None] = live  # slot k's table, freed once used
     for v, slots, _, _ in plan[0]:
-        result = tables[slots[0]]
-        for slot in slots[1:]:
-            result = multiply(result, tables[slot], v if slot == slots[-1] else None)
-        if len(slots) == 1 and v is not None:
-            result = marginalize(result, v)
+        if len(slots) > 1:
+            result = multiply(*map(tables.__getitem__, slots), sum_out=v)
+        elif v is not None:
+            result = marginalize(tables[slots[0]], v)
+        else:
+            result = tables[slots[0]]
         for slot in slots:
             tables[slot] = None
         tables.append(result)

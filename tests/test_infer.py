@@ -43,6 +43,17 @@ from helpers import fixed_order, noisy_or_network, random_network, random_noisym
 ALL_STRATEGIES = list(Strategy)
 
 
+def chain_joints(factors):
+    """The joint entries of each binary product in a left-to-right chain over
+    ``factors``, the sizes the plan charges for their bucket."""
+    size = dict(zip(factors[0].scope, factors[0].values.shape))
+    joints = []
+    for f in factors[1:]:
+        size.update(zip(f.scope, f.values.shape))
+        joints.append(math.prod(size.values()))
+    return joints
+
+
 class TestMultiply:
     def test_ones_is_identity(self):
         f = Factor((0, 1), [[1.0, 2.0], [3.0, 4.0]])
@@ -70,11 +81,14 @@ class TestMultiply:
         assert out.scope == (0, 1)
         np.testing.assert_array_equal(out.values, [[10.0, 200.0], [3000.0, 40000.0]])
 
-    def test_domain_size_mismatch(self):
-        a = Factor((0,), [1.0, 2.0])
-        b = Factor((0,), [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="mismatch"):
-            multiply(a, b)
+    @pytest.mark.parametrize("einsum_to", [0, 2**10])
+    @pytest.mark.parametrize("sizes", [(2, 3), (1, 3), (3, 1), (2, 2, 3)])
+    def test_domain_size_mismatch(self, sizes, einsum_to, monkeypatch):
+        # A one-state axis would broadcast in einsum; it must still be refused.
+        monkeypatch.setattr(infer, "EINSUM_TO", einsum_to)
+        factors = [Factor((0, k + 1), np.ones((n, 2))) for k, n in enumerate(sizes)]
+        with pytest.raises(ValueError, match="mismatch for shared variable 0"):
+            multiply(*factors)
 
     def test_multiplication_count(self):
         stats = EliminationStats()
@@ -132,7 +146,7 @@ class TestMultiply:
 
         a, b = factor(a_scope), factor(b_scope)
         sum_out = v if summed else None
-        out = multiply(a, b, sum_out)
+        out = multiply(a, b, sum_out=sum_out)
         shared = [u for u in a.scope if u in b.scope and u != sum_out]
         a_own = [u for u in a.scope if u not in b.scope]
         b_own = [u for u in b.scope if u not in a.scope]
@@ -176,13 +190,14 @@ class TestMultiply:
             return matmul(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infer, "EINSUM_TO", 0)
             patch.setattr(infer, "CPUS", 1)
-            want = multiply(a, b, sum_out)
+            want = multiply(a, b, sum_out=sum_out)
             patch.setattr(infer, "CPUS", cpus)
             patch.setattr(infer, "SPLIT_FROM", 0)
             patch.setattr(np, "matmul", recording)
             threads = threading.active_count()
-            got = multiply(a, b, sum_out)
+            got = multiply(a, b, sum_out=sum_out)
         assert threading.active_count() == threads  # every slice thread joined
         assert got.scope == want.scope
         np.testing.assert_allclose(got.values, want.values, rtol=1e-15, atol=0)
@@ -212,22 +227,69 @@ class TestMultiply:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(infer, "CPUS", 2)
             patch.setattr(infer, "SPLIT_FROM", 0)
+            patch.setattr(infer, "EINSUM_TO", 0)
             patch.setattr(np, "matmul", failing_matmul)
             threads = threading.active_count()
             with pytest.raises(RuntimeError, match=f"{failing} slice failed"):
                 multiply(a, b)
         assert threading.active_count() == threads
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 3), min_size=1, max_size=6),
+        count=st.integers(2, 70),
+        summed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Past 31 tables, numpy 1.x's einsum limit, the product forms in chunks.
+    @example(sizes=[2, 3, 2], count=70, summed=True, seed=0)
+    @example(sizes=[3, 2, 2, 3, 2, 2], count=32, summed=False, seed=1)
+    def test_einsum_matches_the_matmul_chain(self, sizes, count, summed, seed):
+        # A bucket: count tables over variables 0..len(sizes)-1, scalars and
+        # unary tables among them, every one holding sum_out when one is
+        # summed.  Entries of either sign and magnitude 0.95 to 1.05 keep a
+        # product of up to 70 of them between 0.02 and 30 in magnitude, so
+        # an absolute 1e-12 is a tight test of at most 3**6 such terms.
+        rng = np.random.default_rng(seed)
+        n = len(sizes)
+        sum_out = int(rng.integers(n)) if summed else None
+        factors = []
+        for _ in range(count):
+            scope = [int(u) for u in rng.permutation(n)[: rng.integers(n + 1)]]
+            if sum_out is not None and sum_out not in scope:
+                scope.insert(int(rng.integers(len(scope) + 1)), sum_out)
+            shape = [sizes[u] for u in scope]
+            values = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.95, 1.05, shape)
+            factors.append(Factor(tuple(scope), values))
+        einsum, calls = np.einsum, []
+
+        def recording(*args, **kwargs):
+            calls.append(len(args) - 1)  # operands after the spec
+            return einsum(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "einsum", recording)
+            patch.setattr(infer, "EINSUM_TO", 0)
+            chain = multiply(*factors, sum_out=sum_out)
+            assert calls == []
+            patch.setattr(infer, "EINSUM_TO", 10**9)
+            fused = multiply(*factors, sum_out=sum_out)
+        # Each chunk after the first carries the previous chunk's result.
+        assert max(calls) <= 31
+        assert len(calls) == 1 + max(0, math.ceil((count - 31) / 30))
+        assert fused.scope == chain.scope
+        np.testing.assert_allclose(fused.values, chain.values, rtol=0, atol=1e-12)
+
     def test_sum_out_in_neither_operand(self):
-        with pytest.raises(ValueError, match="not in both"):
+        with pytest.raises(ValueError, match="not in every"):
             multiply(Factor((0,), [1.0, 2.0]), Factor((1,), [1.0, 2.0]), sum_out=2)
 
     def test_sum_out_in_one_operand(self):
         a = Factor((0, 1), np.ones((2, 3)))
         b = Factor((1,), [1.0, 2.0, 3.0])
-        for x, y in ((a, b), (b, a)):
-            with pytest.raises(ValueError, match="not in both"):
-                multiply(x, y, sum_out=0)
+        for factors in ((a, b), (b, a), (a, a, b)):
+            with pytest.raises(ValueError, match="not in every"):
+                multiply(*factors, sum_out=0)
 
     def test_fused_bucket_never_allocates_the_joint(self):
         # Buckets (v, x1..x10) and (v, y1..y10): their joint has 2**21
@@ -436,13 +498,13 @@ class TestOrderSearch:
     def check_plan_against_execution(factors, keep, order):
         # Every product and lone-bucket sum, recorded through the module
         # globals: each joint formed (or summed inside the call), in order.
-        joints, sums = [], []
+        joints, sums, calls = [], [], []
         real_multiply, real_marginalize = infer.multiply, infer.marginalize
 
-        def recording(a, b, sum_out=None):
-            new = [n for u, n in zip(b.scope, b.values.shape) if u not in a.scope]
-            joints.append(a.size * math.prod(new))
-            return real_multiply(a, b, sum_out)
+        def recording(*factors, sum_out=None):
+            calls.append(len(factors))
+            joints.extend(chain_joints(factors))
+            return real_multiply(*factors, sum_out=sum_out)
 
         def summing(f, v):
             out = real_marginalize(f, v)
@@ -458,6 +520,8 @@ class TestOrderSearch:
         scopes = [f.scope for f in factors]
         steps, multiplications, peak = infer._plan(scopes, size, list(order), keep)
         assert joints == [joint for _, _, planned, _ in steps for joint in planned]
+        # One call per bucket of two or more tables, taking all of them.
+        assert calls == [len(slots) for _, slots, _, _ in steps if len(slots) > 1]
         counts = (sum(joints), max(joints + sums + [result.size]))
         assert (stats.multiplications, stats.peak_table_entries) == counts
         assert (multiplications, peak) == counts
@@ -754,10 +818,9 @@ class TestQueryPosterior:
         joints = []
         real_multiply = infer.multiply
 
-        def recording(a, b, sum_out=None):
-            out = real_multiply(a, b, sum_out)
-            new = [n for u, n in zip(b.scope, b.values.shape) if u not in a.scope]
-            joints.append(a.size * math.prod(new))
+        def recording(*factors, sum_out=None):
+            out = real_multiply(*factors, sum_out=sum_out)
+            joints.extend(chain_joints(factors))
             return out
 
         monkeypatch.setattr(infer, "multiply", recording)
@@ -1137,6 +1200,7 @@ class TestConcurrentQueries:
             if split:
                 patch.setattr(infer, "CPUS", 2)
                 patch.setattr(infer, "SPLIT_FROM", 0)
+                patch.setattr(infer, "EINSUM_TO", 0)
             patch.setattr(np, "matmul", recording)
             with ThreadPoolExecutor(max_workers=4) as pool:
                 parallel = list(pool.map(ask, asked))
