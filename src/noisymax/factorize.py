@@ -123,10 +123,21 @@ def _max_table(m: int, arity: int) -> np.ndarray:
     m-valued domain, with the output on the last axis."""
     if m ** (arity + 1) > TABLE_ENTRY_GUARD:
         raise GuardExceededError(f"max table would hold {m}^{arity + 1} entries")
-    # Outer maxima, not np.indices: the index grid holds arity times more
-    # integers than the table has input cells.
-    mx = reduce(np.maximum.outer, [np.arange(m)] * arity)
-    return (mx[..., None] == np.arange(m)).astype(float)
+    # numpy's inner loop runs along the last axis, and an m-long one covers
+    # 2-4 entries, so the long axis goes last: the grid of maxima grows a
+    # leading axis at a time in one buffer (block i of a level is max(i, the
+    # level before)), and each output state fills one strided column.
+    mx = np.zeros(m**arity, dtype=np.min_scalar_type(m - 1))
+    n = 1
+    for _ in range(arity):
+        for i in range(1, m):
+            np.maximum(mx[:n], i, out=mx[i * n : (i + 1) * n])
+        n *= m
+    table = np.empty((m,) * (arity + 1))
+    flat = table.reshape(-1, m)
+    for k in range(m):
+        np.equal(mx, k, out=flat[:, k])
+    return table
 
 
 def _flat(ids: list[int]) -> list[list[int]]:

@@ -142,8 +142,7 @@ class Factor:
         """Unchecked constructor for tables the engine derives from checked
         factors (a numpy scalar from a full reduction becomes a 0-d array)."""
         f = object.__new__(cls)
-        object.__setattr__(f, "scope", scope)
-        object.__setattr__(f, "values", np.asarray(values))
+        f.__dict__.update(scope=scope, values=np.asarray(values))
         return f
 
     @classmethod

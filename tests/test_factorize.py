@@ -1,5 +1,7 @@
 """Expansion strategies: oracle, size accounting, and recovered CPDs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from noisymax import (
     generate,
     oracle_cpd,
 )
+from noisymax.factorize import _max_table
 from helpers import noisy_or_network, random_noisymax, recover_cpd, three_value_cpd
 
 ALL_STRATEGIES = list(Strategy)
@@ -95,6 +98,51 @@ class TestTrivial:
         cpd, variables = binary_causes(11, [rows] * 11, m=5)
         with pytest.raises(GuardExceededError):
             expand_cpd(cpd, variables, Strategy.TRIVIAL)
+
+
+def reference_max_table(m, arity):
+    """The max over an index grid, one-hot on a new last axis."""
+    mx = np.indices((m,) * arity).max(axis=0)
+    return (mx[..., None] == np.arange(m)).astype(float)
+
+
+def traced_peak(build):
+    """Peak bytes traced while ``build`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMaxTable:
+    @pytest.mark.parametrize(
+        "m, arity",
+        [(m, a) for m in range(2, 6) for a in range(1, 17) if m ** (a + 1) <= 2**16],
+    )
+    def test_equals_the_index_grid_reference(self, m, arity):
+        table = _max_table(m, arity)
+        assert table.dtype == np.float64
+        assert table.flags.c_contiguous
+        assert table.shape == (m,) * (arity + 1)
+        assert np.array_equal(table, reference_max_table(m, arity))
+
+    def test_states_beyond_one_byte(self):
+        # 300 states need a 16-bit grid; a byte-wide one wraps at 256.
+        assert np.array_equal(_max_table(300, 1), np.eye(300))
+
+    def test_build_peak_stays_near_the_table(self):
+        peak, table = traced_peak(lambda: _max_table(2, 16))
+        assert peak <= 1.25 * table.nbytes
+
+    def test_refused_table_allocates_nothing(self):
+        def build():
+            with pytest.raises(GuardExceededError):
+                _max_table(5, 11)
+
+        peak, _ = traced_peak(build)
+        assert peak < 2**20  # the table would take 8 * 5**12 bytes, about 2 GB
 
 
 class TestParentDivorcing:

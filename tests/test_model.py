@@ -1,6 +1,7 @@
 """Model layer: table layout, parsing, validation, round-trips."""
 
 import ast
+import dataclasses
 import itertools
 import json
 import re
@@ -106,6 +107,15 @@ class TestFactor:
     def test_negative_entries_allowed(self):
         f = Factor((0,), [-1.0, 2.5])
         assert f.values.min() == -1.0
+
+    def test_unchecked_constructor_matches_the_checked_one(self):
+        values = np.arange(6.0).reshape(2, 3)
+        f = Factor._of((4, 1), values)
+        assert f == Factor((4, 1), values)
+        assert vars(f).keys() == vars(Factor((4, 1), values)).keys()
+        assert type(Factor._of((), np.float64(2.5)).values) is np.ndarray
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.scope = (1, 4)
 
 
 class TestParse:
