@@ -9,8 +9,10 @@ bucket whose joint has fewer than :data:`EINSUM_TO` entries is one
 ``np.einsum`` call; a larger one is a chain of batched matrix products, and
 a product of that chain whose joint reaches :data:`SPLIT_FROM` entries and
 that has a batch variable is split along it over the :data:`CPUS` the
-process may run on.  Either path gives the chain's scope, and its values up
-to the order of a sum's terms; no count depends on the path.  Cost is
+process may run on.  Either path gives the chain's scope, the shared
+variables first in the order of the operand with more entries, then the left
+operand's own, then the right's, and its values up to the order of a sum's
+terms; no count depends on the path.  Cost is
 counted once, from :func:`eliminate`'s plan of every product before any is
 formed, as the paper's model counts it: one scalar multiplication per entry
 of each binary product's joint, and the peak table size, joints included.
@@ -53,6 +55,13 @@ SPLIT_FROM = 2**18
 # three or more tables up to 2**8 entries and 0.7 of it on pairs, but 1.4 to
 # 7.5 times the chain's on buckets of three or more tables from 2**10 on.
 EINSUM_TO = 2**10
+# Entries of a one-row or one-column matrix up to which ``multiply`` has
+# numpy's matmul loop over a batch of them itself rather than call BLAS once
+# per matrix.  On a 2-core VM, 2**19 / q products (1 x 2) @ (2 x q) took
+# 4.3 ms with BLAS and 2.2 ms in numpy's loop at q = 1, 8.3 and 2.4 at
+# q = 2, 4.4 and 1.5 at q = 4, 2.2 and 1.3 at q = 8, 1.3 and 1.3 at q = 16;
+# (q x 2) @ (2 x 1) took 4.5 and 2.2 at q = 4, 1.4 and 1.8 at q = 16.
+_LOOP_TO = 8
 # np.einsum refuses 32 operands or more under numpy 1.x (NPY_MAXARGS is 32)
 # and 64 or more under 2.x; chunks of 31 pass under both.
 _EINSUM_OPERANDS = 31
@@ -126,22 +135,35 @@ class EliminationStats:
         }
 
 
-def multiply(a: Factor, b: Factor, *more: Factor, sum_out: int | None = None) -> Factor:
+def multiply(
+    a: Factor, b: Factor, *more: Factor, sum_out: int | None = None, scope: Sequence[int] | None = None
+) -> Factor:
     """Product of ``a``, ``b`` and ``more``, a bucket, with ``sum_out``,
     which every operand must hold, summed out inside it, so the joint is
-    never allocated.  The output scope is the one a left-to-right chain of
-    binary products gives, each putting the shared variables first, then
-    its left operand's own, then its right operand's, with ``sum_out``
-    dropped in the last.  Every product the engine takes is formed here;
+    never allocated.  Every product the engine takes is formed here;
     :func:`eliminate` counts its cost.
 
+    The output's axes are in ``scope``, a permutation of its variables, or
+    by default in the order a left-to-right chain of binary products gives
+    (:func:`_chain`): each puts the shared variables first, in the order of
+    the operand with more entries (the left on a tie), then its left
+    operand's own, then its right operand's, with ``sum_out`` dropped in
+    the last.
+
     Below :data:`EINSUM_TO` joint entries, ``sum_out`` included, one
-    ``np.einsum`` call forms the product, or one per 31 operands, the most
-    numpy 1.x takes, ``sum_out`` kept until the last.  From it on, each
-    binary product of the chain is one batched matrix product ``(batch,
-    left-own, v) @ (batch, v, right-own)``, batch being the other shared
-    variables and ``v`` ``sum_out``'s axis in the last product, of size 1
-    elsewhere.
+    ``np.einsum`` call forms the product in ``scope``, or one per 31
+    operands, the most numpy 1.x takes, ``sum_out`` kept until the last.
+    From it on, each binary product of the chain is one batched matrix
+    product ``(batch, left-own, v) @ (batch, v, right-own)``, batch being
+    the other shared variables and ``v`` ``sum_out``'s axis in the last
+    product, of size 1 elsewhere, and a ``scope`` other than the chain's is
+    a transposed view of its result.  An operand is viewed as its matrices
+    without a copy when each group lies in one run of its axes, in the
+    chain's order, so taking the batch in the larger operand's order spares
+    the larger a copy.  When ``v`` has more than one state and the output
+    matrices are one row or column of at most :data:`_LOOP_TO` entries,
+    both operands are read with ``v`` reversed, which leads numpy's matmul
+    to loop over the matrices itself instead of calling BLAS for each.
 
     Split: when a binary product's joint, ``sum_out`` included, has at
     least :data:`SPLIT_FROM` entries and there is a batch, the output is
@@ -170,12 +192,12 @@ def multiply(a: Factor, b: Factor, *more: Factor, sum_out: int | None = None) ->
         # unless the operands have axes of one state.
         if math.prod(size.values()) >= EINSUM_TO or len(size) > 52:
             result = a
-            for f in factors[1:-1]:
-                result = _matmul_product(result, f, None)
-            return _matmul_product(result, factors[-1], sum_out)
+            for i, (f, groups) in enumerate(zip(factors[1:], _chain([f.scope for f in factors], size, sum_out)), 2):
+                result = _matmul_product(result, f, groups, sum_out if i == len(factors) else None)
+            return result if scope is None else align(result, scope)
     while len(factors) > _EINSUM_OPERANDS:
-        factors = (_einsum(factors[:_EINSUM_OPERANDS], None), *factors[_EINSUM_OPERANDS:])
-    return _einsum(factors, sum_out)
+        factors = (_einsum(factors[:_EINSUM_OPERANDS], None, None), *factors[_EINSUM_OPERANDS:])
+    return _einsum(factors, sum_out, scope)
 
 
 def _sizes(factors: Sequence[Factor]) -> dict[int, int]:
@@ -188,20 +210,42 @@ def _sizes(factors: Sequence[Factor]) -> dict[int, int]:
     return size
 
 
-def _einsum(factors: Sequence[Factor], sum_out: int | None) -> Factor:
-    """The product of ``factors`` in the chain's scope, with ``sum_out``
-    (``None``, or held by every one) summed out: one einsum."""
-    scope = list(factors[0].scope)
-    for f in factors[1:]:
-        held = f.scope
-        if held:
-            scope = [u for u in scope if u in held] + [u for u in scope if u not in held]
-            scope += [u for u in held if u not in scope]
-    if sum_out is None:
-        label = dict(zip(scope, string.ascii_letters))
-    else:
-        scope.remove(sum_out)
-        label = dict(zip([*scope, sum_out], string.ascii_letters))
+def _chain(
+    scopes: Sequence[Sequence[int]], size: Mapping[int, int], sum_out: int | None
+) -> list[tuple[list[int], list[int], list[int]]]:
+    """The groups ``(batch, left-own, right-own)`` of each binary product of
+    the left-to-right chain over tables of ``scopes``, ``sum_out`` summed
+    out in the last.  The batch, the shared variables but ``sum_out``, is in
+    the order of the operand with more entries, the left on a tie, and each
+    own group in its operand's; each product's output is the three groups
+    in turn."""
+    chain = []
+    left = scopes[0]
+    entries = math.prod(map(size.__getitem__, left))
+    for i, right in enumerate(scopes[1:], 2):
+        b_own, grow, held = [], 1, 1
+        for u in right:
+            held *= size[u]
+            if u not in left:
+                b_own.append(u)
+                grow *= size[u]
+        a_own = [u for u in left if u not in right]
+        batch = [u for u in (left if entries >= held else right) if u in left and u in right]
+        if i == len(scopes) and sum_out is not None:
+            batch.remove(sum_out)
+        chain.append((batch, a_own, b_own))
+        left = batch + a_own + b_own
+        entries *= grow
+    return chain
+
+
+def _einsum(factors: Sequence[Factor], sum_out: int | None, scope: Sequence[int] | None) -> Factor:
+    """The product of ``factors`` in ``scope``, or by default the chain's,
+    with ``sum_out`` (``None``, or held by every one) summed out: one einsum."""
+    if scope is None:
+        size = {u: n for f in factors for u, n in zip(f.scope, f.values.shape)}
+        scope = [u for group in _chain([f.scope for f in factors], size, sum_out)[-1] for u in group]
+    label = dict(zip(scope if sum_out is None else [*scope, sum_out], string.ascii_letters))
     spec = ",".join(["".join(map(label.__getitem__, f.scope)) for f in factors])
     try:
         values = np.einsum(spec + "->" + string.ascii_letters[: len(scope)], *[f.values for f in factors])
@@ -211,25 +255,33 @@ def _einsum(factors: Sequence[Factor], sum_out: int | None) -> Factor:
     return Factor._of(tuple(scope), values)
 
 
-def _matmul_product(a: Factor, b: Factor, sum_out: int | None) -> Factor:
-    """One binary product of :func:`multiply`'s chain, whose operands it checked."""
+def _matmul_product(
+    a: Factor, b: Factor, groups: tuple[list[int], list[int], list[int]], sum_out: int | None
+) -> Factor:
+    """One binary product of :func:`multiply`'s chain, whose operands it
+    checked, over its groups ``(batch, a-own, b-own)``, in that order."""
+    batch, a_own, b_own = groups
     a_pos = {u: i for i, u in enumerate(a.scope)}
     b_pos = {u: j for j, u in enumerate(b.scope)}
     inner = [] if sum_out is None else [sum_out]
-    batch = [u for u in a.scope if u in b_pos and u != sum_out]
-    a_own = [u for u in a.scope if u not in b_pos]
-    b_own = [u for u in b.scope if u not in a_pos]
     a_vals = a.values.transpose([a_pos[u] for u in batch + a_own + inner])
     b_vals = b.values.transpose([b_pos[u] for u in batch + inner + b_own])
     k, i = len(batch), len(batch) + len(inner)
     n_batch, n_inner = math.prod(b_vals.shape[:k]), math.prod(b_vals.shape[k:i])
-    n_b = math.prod(b_vals.shape[i:])
+    n_a, n_b = a_vals.size // (n_batch * n_inner), math.prod(b_vals.shape[i:])
     shape = a_vals.shape[: a_vals.ndim - len(inner)] + b_vals.shape[i:]
     scope = tuple(batch + a_own + b_own)
+    # matmul calls BLAS once per matrix, which costs more than the product
+    # when a matrix is one row or column of at most _LOOP_TO entries; it
+    # loops over the matrices itself, up to 3.5 times faster, when the
+    # summed axis runs backwards in memory, as in a reversed view.
+    flip = slice(None, None, -1 if n_inner > 1 and min(n_a, n_b) == 1 and n_a * n_b <= _LOOP_TO else 1)
     states = b_vals.shape[0] if batch else 1
     workers = min(CPUS, states)
     if workers < 2 or a_vals.size * n_b < SPLIT_FROM:
-        out = np.matmul(a_vals.reshape(n_batch, -1, n_inner), b_vals.reshape(n_batch, n_inner, -1))
+        out = np.matmul(
+            a_vals.reshape(n_batch, n_a, n_inner)[:, :, flip], b_vals.reshape(n_batch, n_inner, n_b)[:, flip]
+        )
         return Factor._of(scope, out.reshape(shape))
     out = np.empty(shape)
     rows = n_batch // states
@@ -238,9 +290,9 @@ def _matmul_product(a: Factor, b: Factor, sum_out: int | None) -> Factor:
         for j in range(first, states, workers):
             # out[j, ...] stays a view when out is 1-D; out[j] would be a copy.
             np.matmul(
-                a_vals[j].reshape(rows, -1, n_inner),
-                b_vals[j].reshape(rows, n_inner, n_b),
-                out=out[j, ...].reshape(rows, -1, n_b),
+                a_vals[j].reshape(rows, n_a, n_inner)[:, :, flip],
+                b_vals[j].reshape(rows, n_inner, n_b)[:, flip],
+                out=out[j, ...].reshape(rows, n_a, n_b),
             )
 
     # Opened per product: a pool whose threads already exist would never run
@@ -418,7 +470,9 @@ def eliminate(
     that joint, and no table has been allocated.  Then each bucket of two
     or more tables is one :func:`multiply` call over them in arrival
     order, its variable summed out inside it, and a lone table has its
-    variable marginalized; the last bucket's result is the answer.
+    variable marginalized; the last bucket's result is the answer.  A
+    bucket below :data:`EINSUM_TO` joint entries has its result's axes in
+    the order its variables first come in its tables.
     """
     if stats is None:
         stats = EliminationStats()
@@ -503,9 +557,15 @@ def eliminate(
             stats.ordering.append(v)
 
     tables: list[Factor | None] = live  # slot k's table, freed once used
-    for v, slots, _, _ in plan[0]:
+    for v, slots, joints, _ in plan[0]:
         if len(slots) > 1:
-            result = multiply(*map(tables.__getitem__, slots), sum_out=v)
+            operands = list(map(tables.__getitem__, slots))
+            scope = None
+            if joints[-1] < EINSUM_TO:
+                # An einsum writes any axis order as fast; this one spares
+                # multiply working out the chain's.
+                scope = [u for u in dict.fromkeys(itertools.chain(*(f.scope for f in operands))) if u != v]
+            result = multiply(*operands, sum_out=v, scope=scope)
         elif v is not None:
             result = marginalize(tables[slots[0]], v)
         else:

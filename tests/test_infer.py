@@ -147,7 +147,9 @@ class TestMultiply:
         a, b = factor(a_scope), factor(b_scope)
         sum_out = v if summed else None
         out = multiply(a, b, sum_out=sum_out)
-        shared = [u for u in a.scope if u in b.scope and u != sum_out]
+        # Shared variables in the order of the operand with more entries.
+        larger = a if a.values.size >= b.values.size else b
+        shared = [u for u in larger.scope if u in a.scope and u in b.scope and u != sum_out]
         a_own = [u for u in a.scope if u not in b.scope]
         b_own = [u for u in b.scope if u not in a.scope]
         assert out.scope == tuple(shared + a_own + b_own)
@@ -201,7 +203,9 @@ class TestMultiply:
         assert threading.active_count() == threads  # every slice thread joined
         assert got.scope == want.scope
         np.testing.assert_allclose(got.values, want.values, rtol=1e-15, atol=0)
-        batch = [u for u in shared if u != sum_out]
+        # The batch follows the operand with more entries.
+        larger = a_scope if a.values.size >= b.values.size else b_scope
+        batch = [u for u in larger if u in shared and u != sum_out]
         if batch:
             # One matmul per state of the first batch variable, dealt
             # round-robin; the calling thread takes slices 0, w, 2w, ...
@@ -307,6 +311,79 @@ class TestMultiply:
         assert stats.ordering == [0]
         assert stats.peak_table_entries == 2**21
         assert peak < 2**21 * 8
+
+    def test_larger_operand_is_viewed_not_copied(self):
+        # Bucket 0, (0, 1..10) and (0, 11..20), leaves a result over 1..20:
+        # 2**20 entries, 8 MB of float64, laid out 1, 2, ..., 20.  Bucket 1
+        # then takes the small (1, 30, 4, 3, 2) first and that result
+        # second: its batch is 2, 3 and 4, in the result's order, so the
+        # result is viewed as matrices in place, split or not, and only the
+        # small table is copied.
+        rng = np.random.default_rng(11)
+        factors = [
+            Factor((0, *range(1, 11)), rng.random((2,) * 11)),
+            Factor((0, *range(11, 21)), rng.random((2,) * 11)),
+            Factor((1, 30, 4, 3, 2), rng.random((2,) * 5)),
+        ]
+        keep = [30, *range(2, 21)]
+        peaks, real_multiply = [], infer.multiply
+
+        def measured(*tables, **kwargs):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            out = real_multiply(*tables, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            peaks.append((max(f.values.size for f in tables), out.values.nbytes, peak))
+            return out
+
+        stats = EliminationStats()
+        tracemalloc.start()
+        try:
+            with fixed_order([0, 1]), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(infer, "multiply", measured)
+                got = eliminate(factors, keep, stats=stats)
+        finally:
+            tracemalloc.stop()
+        assert stats.ordering == [0, 1]
+        _, (operand, out_bytes, peak) = peaks
+        assert operand == 2**20
+        # The output and a 256 kB margin, far below the 8 MB operand.
+        assert peak <= out_bytes + 2**18
+        want = np.einsum(
+            "ABCDEFGHIJK,ALMNOPQRSTU,BxEDC->xCDEFGHIJKLMNOPQRSTU",
+            *(f.values for f in factors),
+        )
+        np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 3), min_size=2, max_size=7),
+        count=st.integers(1, 6),
+        einsum_to=st.sampled_from((0, infer.EINSUM_TO)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_answer_does_not_depend_on_axis_order(self, sizes, count, einsum_to, seed):
+        # The same tables with every one's axes permuted: the chain's batch
+        # order, and so which operand is viewed and which copied, changes,
+        # but not the answer.  Entries in [0.5, 1.5) cannot cancel.
+        rng = np.random.default_rng(seed)
+        n = len(sizes)
+        factors = []
+        for _ in range(count):
+            scope = [int(u) for u in rng.permutation(n)[: rng.integers(1, n + 1)]]
+            factors.append(Factor(tuple(scope), rng.uniform(0.5, 1.5, [sizes[u] for u in scope])))
+        held = sorted({u for f in factors for u in f.scope})
+        keep = [int(u) for u in rng.permutation(held)[: rng.integers(1, len(held) + 1)]]
+        permuted = []
+        for f in factors:
+            perm = rng.permutation(len(f.scope))
+            permuted.append(Factor(tuple(f.scope[k] for k in perm), f.values.transpose(perm)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infer, "EINSUM_TO", einsum_to)
+            want = eliminate(factors, keep)
+            got = eliminate(permuted, keep)
+        assert got.scope == want.scope == tuple(keep)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0)
 
     def test_each_bucket_is_freed_after_its_product(self):
         # A chain 0 - 1 - ... - 24 beside a kept block of 16 variables:
@@ -501,10 +578,10 @@ class TestOrderSearch:
         joints, sums, calls = [], [], []
         real_multiply, real_marginalize = infer.multiply, infer.marginalize
 
-        def recording(*factors, sum_out=None):
+        def recording(*factors, sum_out=None, scope=None):
             calls.append(len(factors))
             joints.extend(chain_joints(factors))
-            return real_multiply(*factors, sum_out=sum_out)
+            return real_multiply(*factors, sum_out=sum_out, scope=scope)
 
         def summing(f, v):
             out = real_marginalize(f, v)
@@ -818,8 +895,8 @@ class TestQueryPosterior:
         joints = []
         real_multiply = infer.multiply
 
-        def recording(*factors, sum_out=None):
-            out = real_multiply(*factors, sum_out=sum_out)
+        def recording(*factors, sum_out=None, scope=None):
+            out = real_multiply(*factors, sum_out=sum_out, scope=scope)
             joints.extend(chain_joints(factors))
             return out
 
@@ -953,7 +1030,7 @@ class TestEvidencePass:
 
     def test_eliminate_rejects_a_kept_variable_in_no_factor(self, monkeypatch):
         products = []
-        monkeypatch.setattr(infer, "multiply", lambda *args: products.append(args))
+        monkeypatch.setattr(infer, "multiply", lambda *args, **kwargs: products.append(args))
         factors = [Factor((0, 1), np.ones((2, 2))), Factor((1,), np.ones(2))]
         with pytest.raises(ValueError, match="no factor holds kept variable 5"):
             eliminate(factors, keep=(5,))
@@ -961,7 +1038,7 @@ class TestEvidencePass:
 
     def test_eliminate_rejects_a_repeated_kept_variable(self, monkeypatch):
         products = []
-        monkeypatch.setattr(infer, "multiply", lambda *args: products.append(args))
+        monkeypatch.setattr(infer, "multiply", lambda *args, **kwargs: products.append(args))
         factors = [Factor((0, 1), np.ones((2, 2))), Factor((1, 2), np.ones((2, 2)))]
         with pytest.raises(ValueError, match="kept variable 0 is repeated"):
             eliminate(factors, keep=(0, 0))
