@@ -12,10 +12,10 @@ that has a batch variable is split along it over the :data:`CPUS` the
 process may run on.  Either path gives the chain's scope, the shared
 variables first in the order of the operand with more entries, then the left
 operand's own, then the right's, and its values up to the order of a sum's
-terms; no count depends on the path.  Cost is
-counted once, from :func:`eliminate`'s plan of every product before any is
-formed, as the paper's model counts it: one scalar multiplication per entry
-of each binary product's joint, and the peak table size, joints included.
+terms; no count depends on the path.  Cost is counted once, from
+:func:`eliminate`'s plan of every product before any is formed, as the
+paper's model counts it: one scalar multiplication per entry of each binary
+product's joint, and the peak table size, joints included.
 
 ``brute_force_joint`` answers the same queries from the original network by
 enumerating the full joint; it shares no code path with elimination and acts
@@ -60,7 +60,9 @@ EINSUM_TO = 2**10
 # per matrix.  On a 2-core VM, 2**19 / q products (1 x 2) @ (2 x q) took
 # 4.3 ms with BLAS and 2.2 ms in numpy's loop at q = 1, 8.3 and 2.4 at
 # q = 2, 4.4 and 1.5 at q = 4, 2.2 and 1.3 at q = 8, 1.3 and 1.3 at q = 16;
-# (q x 2) @ (2 x 1) took 4.5 and 2.2 at q = 4, 1.4 and 1.8 at q = 16.
+# (q x 2) @ (2 x 1) took 4.5 and 2.2 at q = 4, 1.4 and 1.8 at q = 16
+# (numpy 2.4).  End to end, ten alternating bn2o-findings runs a side
+# (seed 52) read a median 56.1 answers/s without the loop and 61.0 with it.
 _LOOP_TO = 8
 # np.einsum refuses 32 operands or more under numpy 1.x (NPY_MAXARGS is 32)
 # and 64 or more under 2.x; chunks of 31 pass under both.
@@ -135,29 +137,23 @@ class EliminationStats:
         }
 
 
-def multiply(
-    a: Factor, b: Factor, *more: Factor, sum_out: int | None = None, scope: Sequence[int] | None = None
-) -> Factor:
+def multiply(a: Factor, b: Factor, *more: Factor, sum_out: int | None = None) -> Factor:
     """Product of ``a``, ``b`` and ``more``, a bucket, with ``sum_out``,
     which every operand must hold, summed out inside it, so the joint is
-    never allocated.  Every product the engine takes is formed here;
-    :func:`eliminate` counts its cost.
-
-    The output's axes are in ``scope``, a permutation of its variables, or
-    by default in the order a left-to-right chain of binary products gives
-    (:func:`_chain`): each puts the shared variables first, in the order of
-    the operand with more entries (the left on a tie), then its left
-    operand's own, then its right operand's, with ``sum_out`` dropped in
-    the last.
+    never allocated.  The output scope is the one a left-to-right chain of
+    binary products gives (:func:`_chain`), each putting the shared
+    variables first, in the order of the operand with more entries (the
+    left on a tie), then its left operand's own, then its right operand's,
+    with ``sum_out`` dropped in the last.  Every product the engine takes
+    is formed here; :func:`eliminate` counts its cost.
 
     Below :data:`EINSUM_TO` joint entries, ``sum_out`` included, one
-    ``np.einsum`` call forms the product in ``scope``, or one per 31
-    operands, the most numpy 1.x takes, ``sum_out`` kept until the last.
+    ``np.einsum`` call forms the product, or one per 31 operands, the most
+    numpy 1.x takes, ``sum_out`` kept until the last.
     From it on, each binary product of the chain is one batched matrix
     product ``(batch, left-own, v) @ (batch, v, right-own)``, batch being
     the other shared variables and ``v`` ``sum_out``'s axis in the last
-    product, of size 1 elsewhere, and a ``scope`` other than the chain's is
-    a transposed view of its result.  An operand is viewed as its matrices
+    product, of size 1 elsewhere.  An operand is viewed as its matrices
     without a copy when each group lies in one run of its axes, in the
     chain's order, so taking the batch in the larger operand's order spares
     the larger a copy.  When ``v`` has more than one state and the output
@@ -192,12 +188,12 @@ def multiply(
         # unless the operands have axes of one state.
         if math.prod(size.values()) >= EINSUM_TO or len(size) > 52:
             result = a
-            for i, (f, groups) in enumerate(zip(factors[1:], _chain([f.scope for f in factors], size, sum_out)), 2):
+            for i, (f, groups) in enumerate(zip(factors[1:], _chain(factors, sum_out)), 2):
                 result = _matmul_product(result, f, groups, sum_out if i == len(factors) else None)
-            return result if scope is None else align(result, scope)
+            return result
     while len(factors) > _EINSUM_OPERANDS:
-        factors = (_einsum(factors[:_EINSUM_OPERANDS], None, None), *factors[_EINSUM_OPERANDS:])
-    return _einsum(factors, sum_out, scope)
+        factors = (_einsum(factors[:_EINSUM_OPERANDS], None), *factors[_EINSUM_OPERANDS:])
+    return _einsum(factors, sum_out)
 
 
 def _sizes(factors: Sequence[Factor]) -> dict[int, int]:
@@ -210,41 +206,36 @@ def _sizes(factors: Sequence[Factor]) -> dict[int, int]:
     return size
 
 
-def _chain(
-    scopes: Sequence[Sequence[int]], size: Mapping[int, int], sum_out: int | None
-) -> list[tuple[list[int], list[int], list[int]]]:
+def _chain(factors: Sequence[Factor], sum_out: int | None) -> list[tuple[list[int], list[int], list[int]]]:
     """The groups ``(batch, left-own, right-own)`` of each binary product of
-    the left-to-right chain over tables of ``scopes``, ``sum_out`` summed
-    out in the last.  The batch, the shared variables but ``sum_out``, is in
-    the order of the operand with more entries, the left on a tie, and each
-    own group in its operand's; each product's output is the three groups
-    in turn."""
+    the left-to-right chain over ``factors``, ``sum_out`` summed out in the
+    last.  The batch, the shared variables but ``sum_out``, is in the order
+    of the operand with more entries, the left on a tie, and each own group
+    in its operand's; each product's output is the three groups in turn."""
     chain = []
-    left = scopes[0]
-    entries = math.prod(map(size.__getitem__, left))
-    for i, right in enumerate(scopes[1:], 2):
-        b_own, grow, held = [], 1, 1
-        for u in right:
-            held *= size[u]
-            if u not in left:
-                b_own.append(u)
-                grow *= size[u]
-        a_own = [u for u in left if u not in right]
-        batch = [u for u in (left if entries >= held else right) if u in left and u in right]
-        if i == len(scopes) and sum_out is not None:
+    left, entries = factors[0].scope, factors[0].values.size
+    for i, f in enumerate(factors[1:], 2):
+        right = f.scope
+        batch, a_own = [], []
+        for u in left:
+            (batch if u in right else a_own).append(u)
+        if len(batch) > 1 and entries < f.values.size:
+            batch = [u for u in right if u in left]
+        b_own = [u for u in right if u not in left]
+        if i < len(factors):
+            entries *= math.prod(n for u, n in zip(right, f.values.shape) if u not in left)
+            left = batch + a_own + b_own
+        elif sum_out is not None:
             batch.remove(sum_out)
         chain.append((batch, a_own, b_own))
-        left = batch + a_own + b_own
-        entries *= grow
     return chain
 
 
-def _einsum(factors: Sequence[Factor], sum_out: int | None, scope: Sequence[int] | None) -> Factor:
-    """The product of ``factors`` in ``scope``, or by default the chain's,
-    with ``sum_out`` (``None``, or held by every one) summed out: one einsum."""
-    if scope is None:
-        size = {u: n for f in factors for u, n in zip(f.scope, f.values.shape)}
-        scope = [u for group in _chain([f.scope for f in factors], size, sum_out)[-1] for u in group]
+def _einsum(factors: Sequence[Factor], sum_out: int | None) -> Factor:
+    """The product of ``factors`` in the chain's scope, with ``sum_out``
+    (``None``, or held by every one) summed out: one einsum."""
+    batch, a_own, b_own = _chain(factors, sum_out)[-1]
+    scope = batch + a_own + b_own
     label = dict(zip(scope if sum_out is None else [*scope, sum_out], string.ascii_letters))
     spec = ",".join(["".join(map(label.__getitem__, f.scope)) for f in factors])
     try:
@@ -272,9 +263,11 @@ def _matmul_product(
     shape = a_vals.shape[: a_vals.ndim - len(inner)] + b_vals.shape[i:]
     scope = tuple(batch + a_own + b_own)
     # matmul calls BLAS once per matrix, which costs more than the product
-    # when a matrix is one row or column of at most _LOOP_TO entries; it
-    # loops over the matrices itself, up to 3.5 times faster, when the
-    # summed axis runs backwards in memory, as in a reversed view.
+    # when a matrix is one row or column of at most _LOOP_TO entries.  It
+    # hands BLAS only matrices with positive strides, so with the summed
+    # axis reversed it loops over them itself, up to 3.5 times faster.  The
+    # view only reorders each sum's terms: a numpy that chose otherwise
+    # would be slower here, not wrong.
     flip = slice(None, None, -1 if n_inner > 1 and min(n_a, n_b) == 1 and n_a * n_b <= _LOOP_TO else 1)
     states = b_vals.shape[0] if batch else 1
     workers = min(CPUS, states)
@@ -470,9 +463,7 @@ def eliminate(
     that joint, and no table has been allocated.  Then each bucket of two
     or more tables is one :func:`multiply` call over them in arrival
     order, its variable summed out inside it, and a lone table has its
-    variable marginalized; the last bucket's result is the answer.  A
-    bucket below :data:`EINSUM_TO` joint entries has its result's axes in
-    the order its variables first come in its tables.
+    variable marginalized; the last bucket's result is the answer.
     """
     if stats is None:
         stats = EliminationStats()
@@ -557,15 +548,9 @@ def eliminate(
             stats.ordering.append(v)
 
     tables: list[Factor | None] = live  # slot k's table, freed once used
-    for v, slots, joints, _ in plan[0]:
+    for v, slots, _, _ in plan[0]:
         if len(slots) > 1:
-            operands = list(map(tables.__getitem__, slots))
-            scope = None
-            if joints[-1] < EINSUM_TO:
-                # An einsum writes any axis order as fast; this one spares
-                # multiply working out the chain's.
-                scope = [u for u in dict.fromkeys(itertools.chain(*(f.scope for f in operands))) if u != v]
-            result = multiply(*operands, sum_out=v, scope=scope)
+            result = multiply(*map(tables.__getitem__, slots), sum_out=v)
         elif v is not None:
             result = marginalize(tables[slots[0]], v)
         else:

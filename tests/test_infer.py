@@ -578,10 +578,10 @@ class TestOrderSearch:
         joints, sums, calls = [], [], []
         real_multiply, real_marginalize = infer.multiply, infer.marginalize
 
-        def recording(*factors, sum_out=None, scope=None):
+        def recording(*factors, sum_out=None):
             calls.append(len(factors))
             joints.extend(chain_joints(factors))
-            return real_multiply(*factors, sum_out=sum_out, scope=scope)
+            return real_multiply(*factors, sum_out=sum_out)
 
         def summing(f, v):
             out = real_marginalize(f, v)
@@ -895,8 +895,8 @@ class TestQueryPosterior:
         joints = []
         real_multiply = infer.multiply
 
-        def recording(*factors, sum_out=None, scope=None):
-            out = real_multiply(*factors, sum_out=sum_out, scope=scope)
+        def recording(*factors, sum_out=None):
+            out = real_multiply(*factors, sum_out=sum_out)
             joints.extend(chain_joints(factors))
             return out
 
@@ -1030,7 +1030,7 @@ class TestEvidencePass:
 
     def test_eliminate_rejects_a_kept_variable_in_no_factor(self, monkeypatch):
         products = []
-        monkeypatch.setattr(infer, "multiply", lambda *args, **kwargs: products.append(args))
+        monkeypatch.setattr(infer, "multiply", lambda *args: products.append(args))
         factors = [Factor((0, 1), np.ones((2, 2))), Factor((1,), np.ones(2))]
         with pytest.raises(ValueError, match="no factor holds kept variable 5"):
             eliminate(factors, keep=(5,))
@@ -1038,7 +1038,7 @@ class TestEvidencePass:
 
     def test_eliminate_rejects_a_repeated_kept_variable(self, monkeypatch):
         products = []
-        monkeypatch.setattr(infer, "multiply", lambda *args, **kwargs: products.append(args))
+        monkeypatch.setattr(infer, "multiply", lambda *args: products.append(args))
         factors = [Factor((0, 1), np.ones((2, 2))), Factor((1, 2), np.ones((2, 2)))]
         with pytest.raises(ValueError, match="kept variable 0 is repeated"):
             eliminate(factors, keep=(0, 0))
