@@ -67,6 +67,15 @@ _LOOP_TO = 8
 # np.einsum refuses 32 operands or more under numpy 1.x (NPY_MAXARGS is 32)
 # and 64 or more under 2.x; chunks of 31 pass under both.
 _EINSUM_OPERANDS = 31
+# Entries up to which the evidence pass reads a sliced table's live states
+# from ``np.nonzero``'s coordinates: 8 bytes per axis per nonzero entry, so
+# 16 kB at most over 8 binary axes.  A larger table is read from one boolean
+# mask, one byte an entry, axis by axis.  On a 2-core VM, over tables half
+# zero, the coordinate read took 2.2 us at 8 entries, 45 us at 2**9 and
+# 409 us at 2**12, the mask read 10, 50 and 170 us; a seed-1 fanin-sweep
+# pass, whose sliced max tables reach 2**21 entries, spent 4.1-4.6 ms in the
+# pass's loop with this bound and 6.4-7.8 ms with 2**12.
+_NONZERO_TO = 2**8
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 NEGATIVE_MASS_RTOL = 1e-9
 
@@ -428,6 +437,35 @@ def _plan(
     return steps, multiplications, peak
 
 
+def _live_states(f: Factor, keep: Sequence[int]) -> list[tuple[int, int, Sequence[int]]]:
+    """Each variable of ``f`` outside ``keep`` with a state whose slice is
+    all zero, as (variable, size, live states ascending), in scope order."""
+    values = f.values
+    shrunk = []
+    if values.size <= _NONZERO_TO:
+        if not f.scope or np.count_nonzero(values) == values.size:
+            return shrunk
+        for v, n, coordinates in zip(f.scope, values.shape, np.nonzero(values)):
+            states = set(coordinates.tolist())
+            if len(states) < n and v not in keep:
+                shrunk.append((v, n, sorted(states)))
+        return shrunk
+    nonzero = None
+    for axis, (v, n) in enumerate(zip(f.scope, values.shape)):
+        # Witness: if the line through the last state of every other axis is
+        # nonzero throughout, every state of this one is live.
+        line = (-1,) * axis + (slice(None),) + (-1,) * (values.ndim - axis - 1)
+        if v in keep or values[line].all():
+            continue
+        if nonzero is None:
+            nonzero = values != 0
+        others = tuple(a for a in range(values.ndim) if a != axis)
+        states = np.flatnonzero(nonzero.any(axis=others))
+        if len(states) < n:
+            shrunk.append((v, n, states))
+    return shrunk
+
+
 def eliminate(
     factors: Iterable[Factor],
     keep: Sequence[int],
@@ -450,6 +488,14 @@ def eliminate(
     in Heckerman's Quickscore.  ``stats.pruned_states`` counts the dropped
     states (all of a fixed variable's).  Only sliced factors are scanned,
     since a network's own zeros repeat on every query; no table is written.
+    Each popped factor is read once for every variable's live states, and
+    every drop and fix that read finds is applied before the factor can be
+    popped again: a dead slice stays dead as tables shrink, so the fixpoint
+    is the one single changes reach.  A table of at most
+    :data:`_NONZERO_TO` entries is read from ``np.nonzero``'s coordinates,
+    which take 8 bytes per axis per nonzero entry; a larger one from one
+    boolean mask, one byte an entry, axis by axis, skipping an axis whose
+    witness line (the last state of every other axis) is nonzero throughout.
     An evidence variable in ``keep`` or in no factor raises ``ValueError``.
 
     Order: fixed before any product by :func:`_min_fill_order` and planned by
@@ -496,18 +542,9 @@ def eliminate(
             raise ValueError(f"no factor holds evidence variable {v}")
         work |= fix(v, state)
     while work:
-        i = work.pop()
-        scope, values = live[i].scope, live[i].values
-        for axis, (v, n) in enumerate(zip(scope, values.shape)):
-            # Cheap witness before the full scan: a nonzero entry on the line
-            # through the last state of every other axis proves its state live.
-            line = (-1,) * axis + (slice(None),) + (-1,) * (len(scope) - axis - 1)
-            if v in keep or values[line].all():
-                continue
-            others = tuple(a for a in range(len(scope)) if a != axis)
-            states = np.flatnonzero((values != 0).any(axis=others))
-            if len(states) == n:
-                continue
+        # One read finds every dead state of the factor, and all are dropped
+        # before its next pop: a dead slice stays dead as tables shrink.
+        for v, n, states in _live_states(live[work.pop()], keep):
             if len(states) == 0:
                 raise ZeroPosteriorError(f"evidence leaves variable {v} no state of nonzero mass")
             if len(states) == 1:
@@ -519,7 +556,6 @@ def eliminate(
                     live[j] = Factor._of(f.scope, f.values.take(states, axis=f.scope.index(v)))
                 work |= var_index[v]
                 stats.pruned_states += n - len(states)
-            break  # this factor changed and is back in ``work``
 
     eliminable = set(var_index) - set(keep)
     scopes = [f.scope for f in live]

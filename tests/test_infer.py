@@ -941,12 +941,13 @@ def _all_negative_posterior(net: Network, disease: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _pruned_by_fixpoint(restricted: list[Factor], keep, touched) -> int | None:
-    """Independent count of the states the evidence pass drops, or None when
-    a variable is left no state.  A factor is scanned once evidence or a drop
-    has sliced it; a variable outside ``keep`` with more than one live state
-    keeps only the states whose slice is nonzero in every scanned factor.
-    A variable left one state counts all of its states."""
+def _pruned_by_fixpoint(restricted: list[Factor], keep, touched) -> tuple[int, dict] | None:
+    """Independent count of the states the evidence pass drops, and each
+    variable's live states, or None when a variable is left no state.  A
+    factor is scanned once evidence or a drop has sliced it; a variable
+    outside ``keep`` with more than one live state keeps only the states
+    whose slice is nonzero in every scanned factor.  A variable left one
+    state counts all of its states."""
     sizes = {u: n for f in restricted for u, n in zip(f.scope, f.values.shape)}
     live = {u: np.arange(n) for u, n in sizes.items()}
     scanned = set(touched)
@@ -969,7 +970,7 @@ def _pruned_by_fixpoint(restricted: list[Factor], keep, touched) -> int | None:
         scanned |= {i for i, f in enumerate(restricted) if shrunk & set(f.scope)}
     if any(len(states) == 0 for states in live.values()):
         return None
-    return sum(n if len(live[u]) == 1 else n - len(live[u]) for u, n in sizes.items())
+    return sum(n if len(live[u]) == 1 else n - len(live[u]) for u, n in sizes.items()), live
 
 
 class TestEvidencePass:
@@ -997,23 +998,59 @@ class TestEvidencePass:
                     f = restrict(f, v, state)
                     touched.add(i)
             restricted.append(f)
-        pruned = _pruned_by_fixpoint(restricted, keep, touched)
-        if pruned is None:
+        fixpoint = _pruned_by_fixpoint(restricted, keep, touched)
+        if fixpoint is None:
             with pytest.raises(ZeroPosteriorError):
                 eliminate(factors, keep, evidence=evidence)
             return
+        pruned, live = fixpoint
+        # The planner reads each restricted factor without the variables
+        # left one state, and each variable at its live states' count.
+        scopes = [tuple(u for u in f.scope if u in keep or len(live[u]) > 1) for f in restricted]
+        size = {u: len(live[u]) for scope in scopes for u in scope}
 
         order = data.draw(st.permutations(everything))
         for ordering in (contextlib.nullcontext(), fixed_order(order)):
             stats = EliminationStats()
+            planned = []
             with ordering:
-                result = eliminate(factors, keep, evidence=evidence, stats=stats)
+                plan_order = infer._min_fill_order
+
+                def recorded(seen_scopes, seen_size, *args, **kwargs):
+                    planned.append((list(seen_scopes), dict(seen_size)))
+                    return plan_order(seen_scopes, seen_size, *args, **kwargs)
+
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(infer, "_min_fill_order", recorded)
+                    result = eliminate(factors, keep, evidence=evidence, stats=stats)
                 expected = eliminate(restricted, keep)
             assert result.scope == expected.scope == keep
             np.testing.assert_allclose(result.values, expected.values, rtol=1e-9, atol=1e-12)
             # Evidence variables are fixed, not pruned: never counted.
             assert stats.pruned_states == pruned
             assert not set(evidence) & set(stats.ordering)
+            assert planned and all(seen == (scopes, size) for seen in planned)
+
+    def test_large_sliced_table_is_read_without_coordinates(self):
+        # Evidence on 0 slices a table over 20 binary variables to 2**19
+        # entries, 4 MB of float64, in which state 0 of variable 5 is dead.
+        # Its nonzero entries' coordinates would take 2**18 * 19 * 8 bytes,
+        # about 40 MB; the read above the size bound holds one byte an entry.
+        values = np.random.default_rng(3).uniform(0.1, 1.0, (2,) * 20)
+        values[1, :, :, :, :, 0] = 0.0
+        table = Factor(tuple(range(20)), values)
+        stats = EliminationStats()
+        tracemalloc.start()
+        try:
+            got = eliminate([table], (1,), evidence={0: 1}, stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.pruned_states == 2  # 5 is fixed to its one live state
+        assert 5 not in stats.ordering
+        assert peak < 2 * 2**19 * 8
+        expected = values[1, :, :, :, :, 1].sum(axis=tuple(range(1, 18)))
+        np.testing.assert_allclose(got.values, expected, rtol=1e-12)
 
     def test_eliminate_rejects_bad_evidence(self):
         expanded, _ = expand(noisy_or_network(), Strategy.TRIVIAL)
