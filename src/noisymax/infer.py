@@ -9,10 +9,10 @@ bucket whose joint has fewer than :data:`EINSUM_TO` entries is one
 ``np.einsum`` call; a larger one is a chain of batched matrix products, and
 a product of that chain whose joint reaches :data:`SPLIT_FROM` entries and
 that has a batch variable is split along it over the :data:`CPUS` the
-process may run on.  Either path gives the chain's scope, the shared
-variables first in the order of the operand with more entries, then the left
-operand's own, then the right's, and its values up to the order of a sum's
-terms; no count depends on the path.  Cost is counted once, from
+process may run on.  Either path gives the chain's scope, read from scopes
+alone with each product's shared variables in its right operand's order,
+and its values up to the order of a sum's terms; no count depends on the
+path, and no axis has fewer than two states.  Cost is counted once, from
 :func:`eliminate`'s plan of every product before any is formed, as the
 paper's model counts it: one scalar multiplication per entry of each binary
 product's joint, and the peak table size, joints included.
@@ -151,10 +151,9 @@ def multiply(a: Factor, b: Factor, *more: Factor, sum_out: int | None = None) ->
     which every operand must hold, summed out inside it, so the joint is
     never allocated.  The output scope is the one a left-to-right chain of
     binary products gives (:func:`_chain`), each putting the shared
-    variables first, in the order of the operand with more entries (the
-    left on a tie), then its left operand's own, then its right operand's,
-    with ``sum_out`` dropped in the last.  Every product the engine takes
-    is formed here; :func:`eliminate` counts its cost.
+    variables first, in its right operand's order, then its left operand's
+    own, then its right's, with ``sum_out`` dropped in the last.  Every
+    product the engine takes is formed here; :func:`eliminate` counts it.
 
     Below :data:`EINSUM_TO` joint entries, ``sum_out`` included, one
     ``np.einsum`` call forms the product, or one per 31 operands, the most
@@ -164,11 +163,12 @@ def multiply(a: Factor, b: Factor, *more: Factor, sum_out: int | None = None) ->
     the other shared variables and ``v`` ``sum_out``'s axis in the last
     product, of size 1 elsewhere.  An operand is viewed as its matrices
     without a copy when each group lies in one run of its axes, in the
-    chain's order, so taking the batch in the larger operand's order spares
-    the larger a copy.  When ``v`` has more than one state and the output
-    matrices are one row or column of at most :data:`_LOOP_TO` entries,
-    both operands are read with ``v`` reversed, which leads numpy's matmul
-    to loop over the matrices itself instead of calling BLAS for each.
+    chain's order, so taking the batch in the right operand's order spares
+    it a copy; a bucket lists earlier buckets' results after its input
+    tables, so the right is often the larger.  When ``v`` is summed and the
+    output matrices are one row or column of at most :data:`_LOOP_TO`
+    entries, both operands are read with ``v`` reversed, which leads numpy's
+    matmul to loop over the matrices itself instead of calling BLAS for each.
 
     Split: when a binary product's joint, ``sum_out`` included, has at
     least :data:`SPLIT_FROM` entries and there is a batch, the output is
@@ -183,23 +183,17 @@ def multiply(a: Factor, b: Factor, *more: Factor, sum_out: int | None = None) ->
     has, one under the benchmark's pin."""
     factors = (a, b, *more)
     # The operands' entries multiplied bound the joint, so below EINSUM_TO
-    # the size map is not needed: einsum refuses two sizes of a variable
-    # itself, unless one is 1, which it would broadcast.  An operand with an
-    # axis of one state counts as reaching the constant, and is checked.
+    # the size map is not needed: einsum refuses two sizes of a variable itself.
     bound = 1
     for f in factors:
         if sum_out is not None and sum_out not in f.scope:
             raise ValueError(f"variable {sum_out} not in every scope {[f.scope for f in factors]}")
-        bound *= EINSUM_TO if 1 in f.values.shape else f.values.size
-    if bound >= EINSUM_TO or len(factors) > _EINSUM_OPERANDS:
-        size = _sizes(factors)
-        # einsum takes at most 52 labels, which a joint below EINSUM_TO has
-        # unless the operands have axes of one state.
-        if math.prod(size.values()) >= EINSUM_TO or len(size) > 52:
-            result = a
-            for i, (f, groups) in enumerate(zip(factors[1:], _chain(factors, sum_out)), 2):
-                result = _matmul_product(result, f, groups, sum_out if i == len(factors) else None)
-            return result
+        bound *= f.values.size
+    if bound >= EINSUM_TO and math.prod(_sizes(factors).values()) >= EINSUM_TO:
+        result = a
+        for i, (f, groups) in enumerate(zip(factors[1:], _chain(factors, sum_out)), 2):
+            result = _matmul_product(result, f, groups, sum_out if i == len(factors) else None)
+        return result
     while len(factors) > _EINSUM_OPERANDS:
         factors = (_einsum(factors[:_EINSUM_OPERANDS], None), *factors[_EINSUM_OPERANDS:])
     return _einsum(factors, sum_out)
@@ -218,25 +212,20 @@ def _sizes(factors: Sequence[Factor]) -> dict[int, int]:
 def _chain(factors: Sequence[Factor], sum_out: int | None) -> list[tuple[list[int], list[int], list[int]]]:
     """The groups ``(batch, left-own, right-own)`` of each binary product of
     the left-to-right chain over ``factors``, ``sum_out`` summed out in the
-    last.  The batch, the shared variables but ``sum_out``, is in the order
-    of the operand with more entries, the left on a tie, and each own group
-    in its operand's; each product's output is the three groups in turn."""
-    chain = []
-    left, entries = factors[0].scope, factors[0].values.size
-    for i, f in enumerate(factors[1:], 2):
+    last, read from their scopes alone.  The batch, the shared variables
+    but ``sum_out``, is in the right operand's order, and each own group in
+    its operand's; each product's output is the three groups in turn."""
+    chain, left = [], factors[0].scope
+    for f in factors[1:]:
         right = f.scope
-        batch, a_own = [], []
-        for u in left:
-            (batch if u in right else a_own).append(u)
-        if len(batch) > 1 and entries < f.values.size:
-            batch = [u for u in right if u in left]
-        b_own = [u for u in right if u not in left]
-        if i < len(factors):
-            entries *= math.prod(n for u, n in zip(right, f.values.shape) if u not in left)
-            left = batch + a_own + b_own
-        elif sum_out is not None:
-            batch.remove(sum_out)
+        batch, b_own = [], []
+        for u in right:
+            (batch if u in left else b_own).append(u)
+        a_own = [u for u in left if u not in right]
+        left = batch + a_own + b_own
         chain.append((batch, a_own, b_own))
+    if sum_out is not None:
+        chain[-1][0].remove(sum_out)
     return chain
 
 
@@ -478,7 +467,8 @@ def eliminate(
     """Sum every variable outside ``keep`` out of the product of ``factors``,
     each ``evidence`` variable fixed to its observed state, and return the
     result aligned to ``keep``, by bucket elimination (Dechter 1999).  An empty
-    ``factors``, or a kept variable repeated or in no factor, raises ``ValueError``.
+    ``factors``, a kept variable repeated or in no factor, or two sizes of one
+    variable raise ``ValueError`` before anything is counted.
 
     Evidence: after evidence is fixed, every state of a variable outside
     ``keep`` whose slice is all zero in a factor evidence (or an earlier
@@ -489,17 +479,18 @@ def eliminate(
     states (all of a fixed variable's).  Only sliced factors are scanned,
     since a network's own zeros repeat on every query; no table is written.
     Each popped factor is read once for every variable's live states, and
-    every drop and fix that read finds is applied before the factor can be
-    popped again: a dead slice stays dead as tables shrink, so the fixpoint
-    is the one single changes reach.  A table of at most
-    :data:`_NONZERO_TO` entries is read from ``np.nonzero``'s coordinates,
-    which take 8 bytes per axis per nonzero entry; a larger one from one
-    boolean mask, one byte an entry, axis by axis, skipping an axis whose
-    witness line (the last state of every other axis) is nonzero throughout.
+    every drop and fix that read finds is applied; its own cuts do not
+    queue it again.  Both are sound: a dead slice stays dead as tables
+    shrink, and each state kept has a nonzero entry that is kept.  A table
+    of at most :data:`_NONZERO_TO` entries is read from ``np.nonzero``'s
+    coordinates, which take 8 bytes per axis per nonzero entry; a larger one
+    from one boolean mask, one byte an entry, axis by axis, skipping an axis
+    whose witness line (the last state of every other axis) is all nonzero.
     An evidence variable in ``keep`` or in no factor raises ``ValueError``.
 
     Order: fixed before any product by :func:`_min_fill_order` and planned by
-    :func:`_plan`, both from scopes and one size map.  A min-fill plan of
+    :func:`_plan`, both from scopes and the size map read at entry, kept
+    current as evidence fixes variables and drops states.  A min-fill plan of
     :data:`SEARCH_FROM` multiplications or more yields to min-weight's if that
     needs fewer and peaks no higher.
 
@@ -516,6 +507,7 @@ def eliminate(
     live = list(factors)
     if not live:
         raise ValueError("eliminate needs at least one factor")
+    size = _sizes(live)
     var_index: dict[int, set[int]] = {}
     for i, f in enumerate(live):
         for u in f.scope:
@@ -525,6 +517,7 @@ def eliminate(
         """Restrict ``v`` away in place, keeping each factor's position (and
         so the product order); returns the positions of the factors it sliced."""
         held = var_index.pop(v)
+        del size[v]
         for i in held:
             live[i] = restrict(live[i], v, state)
         return held
@@ -544,7 +537,8 @@ def eliminate(
     while work:
         # One read finds every dead state of the factor, and all are dropped
         # before its next pop: a dead slice stays dead as tables shrink.
-        for v, n, states in _live_states(live[work.pop()], keep):
+        i = work.pop()
+        for v, n, states in _live_states(live[i], keep):
             if len(states) == 0:
                 raise ZeroPosteriorError(f"evidence leaves variable {v} no state of nonzero mass")
             if len(states) == 1:
@@ -555,11 +549,12 @@ def eliminate(
                     f = live[j]
                     live[j] = Factor._of(f.scope, f.values.take(states, axis=f.scope.index(v)))
                 work |= var_index[v]
+                size[v] = len(states)
                 stats.pruned_states += n - len(states)
+        work.discard(i)
 
     eliminable = set(var_index) - set(keep)
     scopes = [f.scope for f in live]
-    size = {u: n for f in live for u, n in zip(f.scope, f.values.shape)}
     order = _min_fill_order(scopes, size, eliminable)
     plan = _plan(scopes, size, order, keep)
     if plan[1] >= SEARCH_FROM:

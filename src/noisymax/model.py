@@ -119,7 +119,8 @@ class Factor:
 
     ``values`` has one axis per scope variable, in scope order; a C-order
     ravel therefore matches the row-major, last-variable-fastest layout.
-    Entries are arbitrary reals (negative values are legal).
+    Entries are arbitrary reals (negative values are legal).  Every axis
+    has two states or more, as every :class:`Variable` has.
     """
 
     scope: tuple[int, ...]
@@ -134,6 +135,8 @@ class Factor:
             raise ValueError(
                 f"factor values have {values.ndim} axes for a scope of {len(scope)}"
             )
+        if min(values.shape, default=2) < 2:
+            raise ValueError(f"factor of shape {values.shape} has an axis of fewer than 2 states")
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "values", values)
 

@@ -100,6 +100,13 @@ class TestFactor:
         with pytest.raises(ValueError):
             Factor((0, 0), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (0, 2), (3, 0)])
+    def test_axis_of_fewer_than_two_states_rejected(self, shape):
+        # As no Variable has fewer than two states, no factor axis has: a
+        # one-state axis would broadcast in einsum instead of being checked.
+        with pytest.raises(ValueError, match="fewer than 2"):
+            Factor((0, 1), np.ones(shape))
+
     def test_from_flat_length_check(self):
         with pytest.raises(ValueError):
             Factor.from_flat((0,), (2,), [1.0, 2.0, 3.0])
