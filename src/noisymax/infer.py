@@ -5,10 +5,13 @@ negative entries everywhere except in the final, fully marginalized target
 table, where tiny negative residue from exact cancellations is clamped to
 zero.  One kernel, :func:`multiply`, forms each bucket's product with its
 variable summed out inside it, so the bucket's joint is never allocated.  A
-bucket whose joint has fewer than :data:`EINSUM_TO` entries is one
-``np.einsum`` call; a larger one is a chain of batched matrix products, and
-a product of that chain whose joint reaches :data:`SPLIT_FROM` entries and
-that has a batch variable is split along it over the :data:`CPUS` the
+costly plan also contracts nested buckets together: a bucket whose joint
+lies inside the bucket that fed it is one call with the other, small tables
+first, each variable summed in the product that takes the last table
+holding it.  A call whose joint has fewer than :data:`EINSUM_TO` entries is
+one ``np.einsum`` call; a larger one is a chain of batched matrix products,
+and a product of that chain whose joint reaches :data:`SPLIT_FROM` entries
+and that has a batch variable is split along it over the :data:`CPUS` the
 process may run on.  Either path gives the chain's scope, read from scopes
 alone with each product's shared variables in its right operand's order,
 and its values up to the order of a sum's terms; no count depends on the
@@ -40,9 +43,12 @@ from .model import Factor, GuardExceededError, Network, NoisyMaxCpd, Variable, n
 JOINT_STATE_GUARD = 2**22
 # A query's multiplication limit unless its caller sets another.
 DEFAULT_GUARD_MULTS = 10**8
-# Multiplications in min-fill's plan from which ``eliminate`` also plans min-weight.
-# On the benchmark's workloads (seed 1, a 2-core VM), min-weight saved 1% of the
-# multiplications below it, at up to 40% of a query's time; from 10^7 on, 19% at 5%.
+# Multiplications in min-fill's plan from which ``eliminate`` also plans
+# min-weight, then merges nested buckets in the plan it takes.  On the
+# benchmark's workloads (seed 1, a 2-core VM), min-weight saved 1% of the
+# multiplications below it, at up to 40% of a query's time; from 10^7 on, 19%
+# at 5%.  The merges saved 14% of bn2o-findings' multiplications and 5-16% of
+# its product time, and took a tenth to a quarter of the time they saved.
 SEARCH_FROM = 10**6
 # Joint entries from which ``multiply`` splits a product with a batch variable
 # over the CPUs this process may run on.  On a 2-core VM, starting and joining
@@ -146,31 +152,37 @@ class EliminationStats:
         }
 
 
-def multiply(a: Factor, b: Factor, *more: Factor, sum_out: int | None = None) -> Factor:
-    """Product of ``a``, ``b`` and ``more``, a bucket, with ``sum_out``,
-    which every operand must hold, summed out inside it, so the joint is
-    never allocated.  The output scope is the one a left-to-right chain of
-    binary products gives (:func:`_chain`), each putting the shared
-    variables first, in its right operand's order, then its left operand's
-    own, then its right's, with ``sum_out`` dropped in the last.  Every
+def multiply(
+    a: Factor, b: Factor, *more: Factor, sum_out: int | tuple[int, ...] | None = None
+) -> Factor:
+    """Product of ``a``, ``b`` and ``more`` with ``sum_out`` summed out
+    inside it, so the joint is never allocated.  ``sum_out`` is a bucket's
+    variable, which every operand must hold, summed in the last binary
+    product of the left-to-right chain over the operands; or a tuple of the
+    variables of nested buckets contracted together, each held by two or
+    more operands and summed in the product that takes the last operand
+    holding it.  The output scope is the chain's (:func:`_chain`), each
+    product putting the shared variables it keeps first, in its right
+    operand's order, then its left operand's own, then its right's.  Every
     product the engine takes is formed here; :func:`eliminate` counts it.
 
-    Below :data:`EINSUM_TO` joint entries, ``sum_out`` included, one
+    Below :data:`EINSUM_TO` joint entries, summed variables included, one
     ``np.einsum`` call forms the product, or one per 31 operands, the most
-    numpy 1.x takes, ``sum_out`` kept until the last.
+    numpy 1.x takes, each giving the chain's scope after its last operand.
     From it on, each binary product of the chain is one batched matrix
     product ``(batch, left-own, v) @ (batch, v, right-own)``, batch being
-    the other shared variables and ``v`` ``sum_out``'s axis in the last
-    product, of size 1 elsewhere.  An operand is viewed as its matrices
-    without a copy when each group lies in one run of its axes, in the
-    chain's order, so taking the batch in the right operand's order spares
-    it a copy; a bucket lists earlier buckets' results after its input
-    tables, so the right is often the larger.  When ``v`` is summed and the
-    output matrices are one row or column of at most :data:`_LOOP_TO`
-    entries, both operands are read with ``v`` reversed, which leads numpy's
-    matmul to loop over the matrices itself instead of calling BLAS for each.
+    the shared variables the product keeps and ``v`` the axes of those it
+    sums, read as one axis, of size 1 when it sums none.  An operand is
+    viewed as its matrices without a copy when each group lies in one run
+    of its axes, in the chain's order, so taking the batch in the right
+    operand's order spares it a copy; a bucket lists earlier buckets'
+    results after its input tables, so the right is often the larger.  When
+    ``v`` is summed and the output matrices are one row or column of at
+    most :data:`_LOOP_TO` entries, both operands are read with ``v``
+    reversed, which leads numpy's matmul to loop over the matrices itself
+    instead of calling BLAS for each.
 
-    Split: when a binary product's joint, ``sum_out`` included, has at
+    Split: when a binary product's joint, summed variables included, has at
     least :data:`SPLIT_FROM` entries and there is a batch, the output is
     allocated once and formed slice by slice along the first batch
     variable, each slice's matmul writing into it in place.  The slices are
@@ -185,18 +197,38 @@ def multiply(a: Factor, b: Factor, *more: Factor, sum_out: int | None = None) ->
     # The operands' entries multiplied bound the joint, so below EINSUM_TO
     # the size map is not needed: einsum refuses two sizes of a variable itself.
     bound = 1
-    for f in factors:
-        if sum_out is not None and sum_out not in f.scope:
-            raise ValueError(f"variable {sum_out} not in every scope {[f.scope for f in factors]}")
-        bound *= f.values.size
+    if isinstance(sum_out, tuple):
+        last, held = {}, dict.fromkeys(sum_out, 0)
+        for k, f in enumerate(factors):
+            for u in f.scope:
+                if u in held:
+                    held[u] += 1
+                    last[u] = k
+            bound *= f.values.size
+        for u, n in held.items():
+            if n < 2:
+                raise ValueError(f"variable {u} in fewer than two scopes {[f.scope for f in factors]}")
+    else:
+        for f in factors:
+            if sum_out is not None and sum_out not in f.scope:
+                raise ValueError(f"variable {sum_out} not in every scope {[f.scope for f in factors]}")
+            bound *= f.values.size
+        last = {} if sum_out is None else {sum_out: len(factors) - 1}
+    chain = _chain(factors, last)
     if bound >= EINSUM_TO and math.prod(_sizes(factors).values()) >= EINSUM_TO:
         result = a
-        for i, (f, groups) in enumerate(zip(factors[1:], _chain(factors, sum_out)), 2):
-            result = _matmul_product(result, f, groups, sum_out if i == len(factors) else None)
+        for k, (f, groups) in enumerate(zip(factors[1:], chain), 1):
+            result = _matmul_product(result, f, groups, [u for u in last if last[u] == k])
         return result
+    taken = 0  # factors folded into the first so far
     while len(factors) > _EINSUM_OPERANDS:
-        factors = (_einsum(factors[:_EINSUM_OPERANDS], None), *factors[_EINSUM_OPERANDS:])
-    return _einsum(factors, sum_out)
+        taken += _EINSUM_OPERANDS - 1
+        batch, a_own, b_own = chain[taken - 1]
+        # The chain's scope after the chunk, which sums the variables it holds last.
+        summed = [u for u in last if last[u] <= taken]
+        factors = (_einsum(factors[:_EINSUM_OPERANDS], batch + a_own + b_own, summed), *factors[_EINSUM_OPERANDS:])
+    batch, a_own, b_own = chain[-1]
+    return _einsum(factors, batch + a_own + b_own, last)
 
 
 def _sizes(factors: Sequence[Factor]) -> dict[int, int]:
@@ -209,12 +241,16 @@ def _sizes(factors: Sequence[Factor]) -> dict[int, int]:
     return size
 
 
-def _chain(factors: Sequence[Factor], sum_out: int | None) -> list[tuple[list[int], list[int], list[int]]]:
+def _chain(
+    factors: Sequence[Factor], last: Mapping[int, int]
+) -> list[tuple[list[int], list[int], list[int]]]:
     """The groups ``(batch, left-own, right-own)`` of each binary product of
-    the left-to-right chain over ``factors``, ``sum_out`` summed out in the
-    last, read from their scopes alone.  The batch, the shared variables
-    but ``sum_out``, is in the right operand's order, and each own group in
-    its operand's; each product's output is the three groups in turn."""
+    the left-to-right chain over ``factors``, read from their scopes alone.
+    ``last`` maps each summed variable to the index of the last factor
+    holding it: the product that takes that factor sums it, and it is in no
+    group of that product or a later one.  The batch, the shared variables
+    the product keeps, is in the right operand's order, and each own group
+    in its operand's; each product's output is the three groups in turn."""
     chain, left = [], factors[0].scope
     for f in factors[1:]:
         right = f.scope
@@ -224,17 +260,19 @@ def _chain(factors: Sequence[Factor], sum_out: int | None) -> list[tuple[list[in
         a_own = [u for u in left if u not in right]
         left = batch + a_own + b_own
         chain.append((batch, a_own, b_own))
-    if sum_out is not None:
-        chain[-1][0].remove(sum_out)
+    # Kept past its last factor, a summed variable joins each later left-own
+    # group and moves no other variable, so it is taken out afterwards.
+    for u, k in last.items():
+        chain[k - 1][0].remove(u)
+        for _, a_own, _ in chain[k:]:
+            a_own.remove(u)
     return chain
 
 
-def _einsum(factors: Sequence[Factor], sum_out: int | None) -> Factor:
-    """The product of ``factors`` in the chain's scope, with ``sum_out``
-    (``None``, or held by every one) summed out: one einsum."""
-    batch, a_own, b_own = _chain(factors, sum_out)[-1]
-    scope = batch + a_own + b_own
-    label = dict(zip(scope if sum_out is None else [*scope, sum_out], string.ascii_letters))
+def _einsum(factors: Sequence[Factor], scope: list[int], summed: Iterable[int]) -> Factor:
+    """The product of ``factors`` over ``scope`` with ``summed``, every other
+    variable they hold, summed out: one einsum."""
+    label = dict(zip([*scope, *summed], string.ascii_letters))
     spec = ",".join(["".join(map(label.__getitem__, f.scope)) for f in factors])
     try:
         values = np.einsum(spec + "->" + string.ascii_letters[: len(scope)], *[f.values for f in factors])
@@ -245,14 +283,13 @@ def _einsum(factors: Sequence[Factor], sum_out: int | None) -> Factor:
 
 
 def _matmul_product(
-    a: Factor, b: Factor, groups: tuple[list[int], list[int], list[int]], sum_out: int | None
+    a: Factor, b: Factor, groups: tuple[list[int], list[int], list[int]], inner: list[int]
 ) -> Factor:
     """One binary product of :func:`multiply`'s chain, whose operands it
-    checked, over its groups ``(batch, a-own, b-own)``, in that order."""
+    checked, over its groups ``(batch, a-own, b-own)``, ``inner`` summed."""
     batch, a_own, b_own = groups
     a_pos = {u: i for i, u in enumerate(a.scope)}
     b_pos = {u: j for j, u in enumerate(b.scope)}
-    inner = [] if sum_out is None else [sum_out]
     a_vals = a.values.transpose([a_pos[u] for u in batch + a_own + inner])
     b_vals = b.values.transpose([b_pos[u] for u in batch + inner + b_own])
     k, i = len(batch), len(batch) + len(inner)
@@ -306,9 +343,10 @@ def marginalize(f: Factor, v: int) -> Factor:
 
 def restrict(f: Factor, v: int, state: int) -> Factor:
     """Instantiate evidence: keep the slice of integer ``state``, drop ``v``."""
-    if v not in f.scope:
-        raise ValueError(f"variable {v} not in scope {f.scope}")
-    axis = f.scope.index(v)
+    try:
+        axis = f.scope.index(v)
+    except ValueError:
+        raise ValueError(f"variable {v} not in scope {f.scope}") from None
     if not (_is_integer(state) and 0 <= state < f.values.shape[axis]):
         raise ValueError(f"state {state} out of range for variable {v}")
     taken = f.values[(slice(None),) * axis + (state,)]
@@ -384,13 +422,15 @@ def _plan(
     scopes: Sequence[tuple[int, ...]], size: dict[int, int], order: list[int], keep: Sequence[int]
 ) -> tuple:
     """Bucket elimination under ``order``, from ``scopes`` and ``size`` alone.
-    Factor ``k`` fills slot ``k``, the ``i``-th bucket's result slot
+    Factor ``k`` fills slot ``k``, the ``i``-th step's result slot
     ``len(scopes) + i``; a table waits in the bucket of its earliest
     variable in the order, or in a last bucket if it holds kept variables
     only.  One step per bucket: its variable (``None`` for the last), its
     operands' slots in arrival order, each binary product's joint entries,
     and its result's entries.  Also returns the multiplications (the joints'
-    sum) and the peak (the largest joint or result)."""
+    sum), the peak (the largest joint or result) and each slot's scope but
+    the last step's result, for :func:`_merge`, which may then contract
+    nested buckets together in steps of the same form."""
     last = len(order)
     position = dict.fromkeys(keep, last)
     position.update(zip(order, range(last)))
@@ -423,7 +463,113 @@ def _plan(
         multiplications += sum(joints)
         peak = max(peak, entries, *joints)
         steps.append((v, slots, joints, entries))
-    return steps, multiplications, peak
+    return steps, multiplications, peak, placed
+
+
+def _merge(steps: list, placed: Sequence[Iterable[int]], size: dict[int, int], n: int) -> list:
+    """:func:`_plan`'s ``steps`` over ``n`` input tables, whose slots have the
+    scopes ``placed``, with nested buckets contracted together, as SPI's
+    set-factoring (Li & D'Ambrosio 1994) and bucket elimination's clusters
+    (Dechter 1999) do.  A step whose joint lies inside the joint of the
+    step that produced one of its tables is merged into that step: the
+    producer's tables and the step's others form one step, planned by
+    :func:`_contraction`, whose variables are a tuple.  Merges nest, a step
+    takes the producer whose merge saves the most, and a merge is kept only
+    when it plans fewer multiplications than the two steps apart.  Every
+    product of a merged step lies inside a table the plan already counted,
+    the producer's joint or, for a lone table, its result, so the peak
+    never rises.  Slots are numbered afresh: each marginalization a merged
+    step needs first is a step of its own, over one table, before it."""
+    # Each merged step's tables' slots, variables, multiplications and
+    # contraction, by its place in ``steps``; and the steps merged into one.
+    merged: dict[int, tuple] = {}
+    absorbed: set[int] = set()
+    for i, (v, slots, joints, _) in enumerate(steps):
+        own, saving = sum(joints), 0
+        for slot in slots:
+            p = slot - n
+            # A joint holding the result of step p lies inside p's joint only
+            # if it is that result, p's own variables being summed out.
+            if p < 0 or joints and joints[-1] != steps[p][3]:
+                continue
+            tables, both, cost, _ = merged.get(p) or (steps[p][1], [steps[p][0]], sum(steps[p][2]), None)
+            tables = tables + [s for s in slots if s != slot]
+            both = both if v is None else both + [v]
+            contraction = _contraction([placed[s] for s in tables], both, size)
+            gain = cost + own - sum(contraction[3])
+            if gain > saving:
+                saving, best = gain, (p, (tables, both, cost + own - gain, contraction))
+        if saving:
+            absorbed.add(best[0])
+            merged[i] = best[1]
+    if not merged:
+        return steps
+
+    # The steps before the first one merged away keep their slots.
+    first = min(absorbed)
+    slot_of = list(range(n + first))  # each slot's number in the merged plan
+    merged_steps = steps[:first]
+    for i in range(first, len(steps)):
+        if i in absorbed:
+            slot_of.append(None)
+            continue
+        if i in merged:
+            tables, _, _, (marginals, order, summed, joints, entries) = merged[i]
+            operands = list(map(slot_of.__getitem__, tables))
+            for k, u, marginal in marginals:
+                merged_steps.append((u, [operands[k]], [], marginal))
+                operands[k] = n + len(merged_steps) - 1
+            merged_steps.append((summed, [operands[k] for k in order], joints, entries))
+        else:
+            v, slots, joints, entries = steps[i]
+            merged_steps.append((v, list(map(slot_of.__getitem__, slots)), joints, entries))
+        slot_of.append(n + len(merged_steps) - 1)
+    return merged_steps
+
+
+def _contraction(scopes: Sequence[Iterable[int]], summed: list[int], size: dict[int, int]) -> tuple:
+    """One step over tables of ``scopes`` with ``summed`` summed out: a
+    variable held by one table is marginalized out of it first, then the
+    tables are multiplied smallest first, the earlier on a tie, each other
+    variable summed in the product that takes the last table holding it.
+    Returns the marginalizations as (table, variable, entries left), the
+    tables' order, the variables the products sum, each product's joint
+    entries and the result's entries."""
+    held = dict.fromkeys(summed, 0)
+    entries = []
+    for scope in scopes:
+        n = 1
+        for u in scope:
+            n *= size[u]
+            if u in held:
+                held[u] += 1
+        entries.append(n)
+    marginals = []
+    if 1 in held.values():
+        for k, scope in enumerate(scopes):
+            for u in scope:
+                if held.get(u) == 1:
+                    entries[k] //= size[u]
+                    marginals.append((k, u, entries[k]))
+    order = sorted(range(len(scopes)), key=entries.__getitem__)
+    # Tables left to take that hold each variable the products sum; a
+    # variable never reappears once summed, so ``seen`` only grows.
+    left = {u: n for u, n in held.items() if n > 1}
+    seen = {u for _, u, _ in marginals}
+    product, joints = 1, []
+    for k in order:
+        dropped = 1
+        for u in scopes[k]:
+            if u not in seen:
+                seen.add(u)
+                product *= size[u]
+            if u in left:
+                left[u] -= 1
+                if not left[u]:
+                    dropped *= size[u]
+        joints.append(product)
+        product //= dropped
+    return marginals, order, tuple(u for u in summed if held[u] > 1), joints[1:], product
 
 
 def _live_states(f: Factor, keep: Sequence[int]) -> list[tuple[int, int, Sequence[int]]]:
@@ -492,15 +638,21 @@ def eliminate(
     :func:`_plan`, both from scopes and the size map read at entry, kept
     current as evidence fixes variables and drops states.  A min-fill plan of
     :data:`SEARCH_FROM` multiplications or more yields to min-weight's if that
-    needs fewer and peaks no higher.
+    needs fewer and peaks no higher, and the plan taken is then refined by
+    :func:`_merge`: a bucket whose joint lies inside the joint of the bucket
+    that produced one of its tables is contracted together with it, when
+    that plans fewer multiplications.  The peak never rises.
 
-    Buckets: the plan is charged to ``stats`` bucket by bucket, and the
-    guards checked on each joint, before any product is formed; a tripped
-    guard raises :class:`GuardExceededError` carrying the ``stats`` up to
-    that joint, and no table has been allocated.  Then each bucket of two
-    or more tables is one :func:`multiply` call over them in arrival
-    order, its variable summed out inside it, and a lone table has its
-    variable marginalized; the last bucket's result is the answer.
+    Steps: the plan is charged to ``stats`` step by step, and the guards
+    checked on each joint, before any product is formed; a tripped guard
+    raises :class:`GuardExceededError` carrying the ``stats`` up to that
+    joint, its ``ordering`` the order's variables that the steps charged in
+    full sum out, and no table has been allocated.  ``ordering`` is
+    otherwise the whole order.  Then each step of two or more tables is one
+    :func:`multiply` call over them, a bucket's in arrival order with its
+    variable summed out inside it, merged buckets' smallest first with
+    their variables, and a lone table has its variable marginalized; the
+    last step's result is the answer.
     """
     if stats is None:
         stats = EliminationStats()
@@ -556,34 +708,41 @@ def eliminate(
     eliminable = set(var_index) - set(keep)
     scopes = [f.scope for f in live]
     order = _min_fill_order(scopes, size, eliminable)
-    plan = _plan(scopes, size, order, keep)
-    if plan[1] >= SEARCH_FROM:
+    steps, multiplications, peak, placed = _plan(scopes, size, order, keep)
+    if multiplications >= SEARCH_FROM:
         other = _min_fill_order(scopes, size, eliminable, by_weight=True)
-        other_plan = plan if other == order else _plan(scopes, size, other, keep)
-        if other_plan[1] < plan[1] and other_plan[2] <= plan[2]:
-            plan = other_plan
+        if other != order:
+            other_plan = _plan(scopes, size, other, keep)
+            if other_plan[1] < multiplications and other_plan[2] <= peak:
+                order, (steps, _, _, placed) = other, other_plan
+        steps = _merge(steps, placed, size, len(scopes))
 
-    for v, _, joints, entries in plan[0]:
+    def aborted(message: str, charged: int) -> GuardExceededError:
+        # The order's variables that the first ``charged`` steps sum out.
+        done = set()
+        for sum_out, _, _, _ in steps[:charged]:
+            done.update(sum_out if isinstance(sum_out, tuple) else [sum_out])
+        stats.ordering += [u for u in order if u in done]
+        return GuardExceededError(message, stats)
+
+    for k, (_, _, joints, entries) in enumerate(steps):
         for joint in joints:
             if max_table_entries is not None and joint > max_table_entries:
-                raise GuardExceededError(
-                    f"intermediate table of {joint} entries exceeds the guard", stats
-                )
+                raise aborted(f"intermediate table of {joint} entries exceeds the guard", k)
             total = stats.multiplications + joint
             if max_multiplications is not None and total > max_multiplications:
-                raise GuardExceededError(f"{total} multiplications exceed the guard", stats)
+                raise aborted(f"{total} multiplications exceed the guard", k)
             stats.multiplications = total
             stats.peak_table_entries = max(stats.peak_table_entries, joint)
         stats.peak_table_entries = max(stats.peak_table_entries, entries)
-        if v is not None:
-            stats.ordering.append(v)
+    stats.ordering += order
 
     tables: list[Factor | None] = live  # slot k's table, freed once used
-    for v, slots, _, _ in plan[0]:
+    for sum_out, slots, _, _ in steps:
         if len(slots) > 1:
-            result = multiply(*map(tables.__getitem__, slots), sum_out=v)
-        elif v is not None:
-            result = marginalize(tables[slots[0]], v)
+            result = multiply(*map(tables.__getitem__, slots), sum_out=sum_out)
+        elif sum_out is not None:
+            result = marginalize(tables[slots[0]], sum_out)
         else:
             result = tables[slots[0]]
         for slot in slots:

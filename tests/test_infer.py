@@ -43,14 +43,20 @@ from helpers import fixed_order, noisy_or_network, random_network, random_noisym
 ALL_STRATEGIES = list(Strategy)
 
 
-def chain_joints(factors):
+def chain_joints(factors, sum_out=None):
     """The joint entries of each binary product in a left-to-right chain over
-    ``factors``, the sizes the plan charges for their bucket."""
+    ``factors``, the sizes the plan charges for their step.  A variable of a
+    tuple ``sum_out`` leaves the chain after the product that takes the last
+    factor holding it; a lone variable is summed in the last product."""
+    summed = sum_out if isinstance(sum_out, tuple) else ()
+    last = {u: k for k, f in enumerate(factors) for u in f.scope if u in summed}
     size = dict(zip(factors[0].scope, factors[0].values.shape))
     joints = []
-    for f in factors[1:]:
+    for k, f in enumerate(factors[1:], 1):
         size.update(zip(f.scope, f.values.shape))
         joints.append(math.prod(size.values()))
+        for u in [u for u in size if last.get(u) == k]:
+            del size[u]
     return joints
 
 
@@ -280,6 +286,70 @@ class TestMultiply:
         assert len(calls) == 1 + max(0, math.ceil((count - 31) / 30))
         assert fused.scope == chain.scope
         np.testing.assert_allclose(fused.values, chain.values, rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scopes=st.lists(
+            st.lists(st.integers(0, 6), unique=True, max_size=5), min_size=2, max_size=6
+        ),
+        sizes=st.lists(st.integers(2, 4), min_size=7, max_size=7),
+        summed=st.lists(st.integers(0, 6), unique=True, max_size=4),
+        path=st.sampled_from(["default", "chain", "split"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Joints of 2**12 and 4**5 entries, one variable summed before the last product.
+    @example(
+        scopes=[[0, 1, 2], [2, 3, 4, 5], [0, 1, 4, 5, 6]], sizes=[4, 2, 4, 2, 4, 4, 2],
+        summed=[2, 0, 4], path="default", seed=0,
+    )
+    @example(
+        scopes=[[0, 1], [1, 2], [0, 3, 4]], sizes=[4, 4, 4, 4, 4, 2, 2],
+        summed=[1, 0], path="default", seed=1,
+    )
+    def test_tuple_sum_matches_einsum(self, scopes, sizes, summed, path, seed):
+        # Nested buckets contracted together: each variable of the tuple is
+        # held by two or more operands and summed in the product that takes
+        # the last one holding it.  The reference is one np.einsum over the
+        # value arrays.  Entries in [0.5, 1.5) cannot cancel.
+        rng = np.random.default_rng(seed)
+        factors = [
+            Factor(tuple(sc), rng.uniform(0.5, 1.5, [sizes[u] for u in sc])) for sc in scopes
+        ]
+        sum_out = tuple(u for u in summed if sum(u in sc for sc in scopes) >= 2)
+        with pytest.MonkeyPatch.context() as patch:
+            if path != "default":
+                patch.setattr(infer, "EINSUM_TO", 0)
+            if path == "split":
+                patch.setattr(infer, "SPLIT_FROM", 0)
+                patch.setattr(infer, "CPUS", 2)
+            threads = threading.active_count()
+            out = multiply(*factors, sum_out=sum_out)
+        assert threading.active_count() == threads
+        # The chain's scope without sums, in which a product's shared
+        # variables come first in its right operand's order, less sum_out.
+        left = factors[0].scope
+        for f in factors[1:]:
+            shared = [u for u in f.scope if u in left]
+            left = shared + [u for u in left if u not in f.scope] + [
+                u for u in f.scope if u not in left
+            ]
+        assert out.scope == tuple(u for u in left if u not in sum_out)
+        letter = {u: chr(ord("a") + u) for u in range(7)}
+        spec = ",".join("".join(map(letter.__getitem__, sc)) for sc in scopes)
+        expected = np.einsum(
+            spec + "->" + "".join(map(letter.__getitem__, out.scope)), *(f.values for f in factors)
+        )
+        np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("einsum_to", [0, 2**10])
+    @pytest.mark.parametrize("sum_out", [(0,), (1, 2), (3,)])
+    def test_tuple_sum_out_in_fewer_than_two_operands(self, sum_out, einsum_to, monkeypatch):
+        # 0 is held by a alone, 3 by no operand; 1 by both.
+        monkeypatch.setattr(infer, "EINSUM_TO", einsum_to)
+        a = Factor((0, 1), np.ones((2, 3)))
+        b = Factor((1, 2), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="in fewer than two scopes"):
+            multiply(a, b, sum_out=sum_out)
 
     def test_sum_out_in_neither_operand(self):
         with pytest.raises(ValueError, match="not in every"):
@@ -592,7 +662,7 @@ class TestOrderSearch:
             result = eliminate(factors, keep, stats=stats)
         size = {u: n for f in factors for u, n in zip(f.scope, f.values.shape)}
         scopes = [f.scope for f in factors]
-        steps, multiplications, peak = infer._plan(scopes, size, list(order), keep)
+        steps, multiplications, peak, _ = infer._plan(scopes, size, list(order), keep)
         assert joints == [joint for _, _, planned, _ in steps for joint in planned]
         # One call per bucket of two or more tables, taking all of them.
         assert calls == [len(slots) for _, slots, _, _ in steps if len(slots) > 1]
@@ -629,6 +699,147 @@ class TestOrderSearch:
         factors = [Factor(sc, np.ones((3,) * len(sc))) for sc in scopes]
         self.check_plan_against_execution(factors, keep, order)
 
+    def test_nested_bucket_is_merged_smallest_first(self, monkeypatch):
+        # Bucket 0 holds (0..4) and (0,); its result over 1..4 lies in
+        # bucket 1 with (1,), inside bucket 0's joint.  Apart they take
+        # 32 + 16 multiplications; merged, (0,) times (1,) takes 4 and that
+        # times (0..4) 32, summing 0 and 1 together.
+        factors = [
+            Factor((0, 1, 2, 3, 4), np.ones((2,) * 5)),
+            Factor((0,), np.ones(2)),
+            Factor((1,), np.ones(2)),
+        ]
+        keep = (2, 3, 4)
+        monkeypatch.setattr(infer, "SEARCH_FROM", 0)
+        calls, real_multiply = [], infer.multiply
+
+        def recording(*tables, sum_out=None):
+            calls.append(([f.scope for f in tables], sum_out))
+            return real_multiply(*tables, sum_out=sum_out)
+
+        monkeypatch.setattr(infer, "multiply", recording)
+        stats = EliminationStats()
+        with fixed_order([0, 1]):
+            got = eliminate(factors, keep, stats=stats)
+        assert calls == [([(0,), (1,), (0, 1, 2, 3, 4)], (0, 1))]
+        assert (stats.multiplications, stats.peak_table_entries) == (36, 32)
+        assert stats.ordering == [0, 1]
+        np.testing.assert_array_equal(got.values, np.full((2, 2, 2), 4.0))
+        steps, _, _, placed = infer._plan([f.scope for f in factors], {u: 2 for u in range(5)}, [0, 1], keep)
+        assert steps == [(0, [0, 1], [32], 16), (1, [2, 3], [16], 8), (None, [4], [], 8)]
+        steps = infer._merge(steps, placed, {u: 2 for u in range(5)}, 3)
+        assert steps == [((0, 1), [1, 2, 0], [4, 32], 8), (None, [3], [], 8)]
+
+    def test_lone_table_is_marginalized_before_its_merged_step(self, monkeypatch):
+        # Bucket 0 is (0..3) alone; its result over 1..3 joins (1, 2, 3),
+        # (1, 2) and (1,) in bucket 1, 24 multiplications in arrival order.
+        # Merged, 0 is held by one table and summed out of it first, as a
+        # step of its own; then (1,), (1, 2) and the two tables over 1..3
+        # take 4 + 8 + 8, summing 1 in the last product.
+        rng = np.random.default_rng(3)
+        factors = [
+            Factor(sc, rng.uniform(0.5, 1.5, (2,) * len(sc)))
+            for sc in [(0, 1, 2, 3), (1, 2, 3), (1, 2), (1,)]
+        ]
+        keep = (2, 3)
+        size = {u: 2 for u in range(4)}
+        steps, _, _, placed = infer._plan([f.scope for f in factors], size, [0, 1], keep)
+        assert steps == [(0, [0], [], 8), (1, [1, 2, 3, 4], [8, 8, 8], 4), (None, [5], [], 4)]
+        assert infer._merge(steps, placed, size, 4) == [
+            (0, [0], [], 8), ((1,), [3, 2, 4, 1], [4, 8, 8], 4), (None, [5], [], 4)
+        ]
+        monkeypatch.setattr(infer, "SEARCH_FROM", 0)
+        stats = EliminationStats()
+        with fixed_order([0, 1]):
+            got = eliminate(factors, keep, stats=stats)
+        assert (stats.multiplications, stats.peak_table_entries) == (20, 8)
+        want = np.einsum("abcd,bcd,bc,b->cd", *(f.values for f in factors))
+        np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def check_merged_plan(net, strategy, query) -> int:
+        """Refine every plan, and check the refined one against brute force,
+        against its execution, against the plan it refines and against an
+        abort one multiplication short of it.  Returns its merged steps."""
+        try:
+            expected = brute_force_joint(net, query)
+        except ZeroPosteriorError:
+            return 0
+        expanded, _ = expand(net, strategy)
+        plans, calls = [], []
+        real_merge, real_multiply = infer._merge, infer.multiply
+
+        def merging(steps, *args):
+            plans.append((steps, real_merge(steps, *args)))
+            return plans[-1][1]
+
+        def recording(*factors, sum_out=None):
+            calls.append(chain_joints(factors, sum_out))
+            return real_multiply(*factors, sum_out=sum_out)
+
+        def counts(steps):
+            joints = [joint for _, _, planned, _ in steps for joint in planned]
+            return sum(joints), max(joints + [entries for *_, entries in steps])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(infer, "SEARCH_FROM", 0)
+            patch.setattr(infer, "_merge", merging)
+            patch.setattr(infer, "multiply", recording)
+            posterior, stats = query_posterior(expanded, query)
+            [(planned, merged)] = plans
+            np.testing.assert_allclose(posterior.values, expected.values, rtol=0, atol=1e-12)
+            # One multiply call per step of two or more tables, its chain
+            # having the step's joints; no more multiplications, and no
+            # higher peak, than the bucket plan of the same order.
+            assert calls == [joints for _, slots, joints, _ in merged if len(slots) > 1]
+            multiplications, peak = counts(merged)
+            assert (stats.multiplications, stats.peak_table_entries) == (multiplications, peak)
+            assert multiplications <= counts(planned)[0] and peak <= counts(planned)[1]
+            merges = sum(isinstance(sum_out, tuple) for sum_out, *_ in merged)
+            if not multiplications:
+                return merges
+            # An abort forms no table and carries the order's variables whose
+            # steps were charged in full.
+            calls.clear()
+            with pytest.raises(GuardExceededError) as abort:
+                query_posterior(expanded, query, max_multiplications=multiplications - 1)
+        assert calls == []
+        charged, done = 0, set()
+        for sum_out, _, joints, _ in merged:
+            if charged + sum(joints) >= multiplications:
+                break
+            charged += sum(joints)
+            done.update(sum_out if isinstance(sum_out, tuple) else [sum_out])
+        assert charged <= abort.value.stats.multiplications < multiplications
+        assert abort.value.stats.ordering == [u for u in stats.ordering if u in done]
+        return merges
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        strategy=st.sampled_from(ALL_STRATEGIES),
+        data=st.data(),
+    )
+    def test_merged_plan_under_any_evidence(self, seed, strategy, data):
+        net = random_network(seed)
+        n = len(net.variables)
+        target = data.draw(st.integers(0, n - 1))
+        observed = data.draw(
+            st.lists(st.integers(0, n - 1).filter(lambda v: v != target), max_size=4, unique=True)
+        )
+        evidence = {v: data.draw(st.integers(0, net.variables[v].size - 1)) for v in observed}
+        self.check_merged_plan(net, strategy, Query((target,), evidence))
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+    def test_merged_plan_on_random_networks(self, strategy):
+        # Merges are rare on networks this small: at least one must happen.
+        merges = 0
+        for seed in range(200):
+            net = random_network(seed)
+            query = Query((0,), {len(net.variables) - 1: 0})
+            merges += self.check_merged_plan(net, strategy, query)
+        assert merges
+
     @pytest.mark.parametrize(
         "weight_counts, takes_min_weight",
         [((9, 4), True), ((10, 4), False), ((9, 5), False)],
@@ -648,7 +859,8 @@ class TestOrderSearch:
 
         def plan(scopes, size, order, kept):
             counts = weight_counts if order[0] == 3 else (10, 4)
-            return real_plan(scopes, size, order, kept)[0], *counts
+            steps, _, _, placed = real_plan(scopes, size, order, kept)
+            return steps, *counts, placed
 
         monkeypatch.setattr(infer, "SEARCH_FROM", 0)
         monkeypatch.setattr(infer, "_plan", plan)
@@ -687,7 +899,7 @@ class TestOrderSearch:
         posterior, stats = query_posterior(expanded, query)
         min_fill, min_weight = calls
         assert stats.ordering == min_weight
-        assert (stats.multiplications, stats.peak_table_entries) == (16_176_000, 2_097_152)
+        assert (stats.multiplications, stats.peak_table_entries) == (13_259_016, 2_097_152)
 
         search_from = infer.SEARCH_FROM
         monkeypatch.setattr(infer, "SEARCH_FROM", math.inf)
@@ -701,7 +913,7 @@ class TestOrderSearch:
 
     @pytest.mark.parametrize(
         "search_from, counts",
-        [(20_900_056, (16_176_000, 2_097_152)), (20_900_057, (20_900_056, 4_194_304))],
+        [(20_900_056, (13_259_016, 2_097_152)), (20_900_057, (20_900_056, 4_194_304))],
         ids=["plan-reaches-it", "plan-below-it"],
     )
     def test_search_is_gated_on_min_fills_plan(
