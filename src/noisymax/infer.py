@@ -152,16 +152,13 @@ class EliminationStats:
         }
 
 
-def multiply(
-    a: Factor, b: Factor, *more: Factor, sum_out: int | tuple[int, ...] | None = None
-) -> Factor:
-    """Product of ``a``, ``b`` and ``more`` with ``sum_out`` summed out
-    inside it, so the joint is never allocated.  ``sum_out`` is a bucket's
-    variable, which every operand must hold, summed in the last binary
-    product of the left-to-right chain over the operands; or a tuple of the
-    variables of nested buckets contracted together, each held by two or
-    more operands and summed in the product that takes the last operand
-    holding it.  The output scope is the chain's (:func:`_chain`), each
+def multiply(a: Factor, b: Factor, *more: Factor, sum_out: tuple[int, ...] = ()) -> Factor:
+    """Product of ``a``, ``b`` and ``more`` with the variables ``sum_out``
+    summed out inside it, so the joint is never allocated.  Each of them is
+    held by two or more operands and summed in the binary product of the
+    left-to-right chain over the operands that takes the last operand
+    holding it: a bucket's variable, which all its tables hold, in the last
+    product.  The output scope is the chain's (:func:`_chain`), each
     product putting the shared variables it keeps first, in its right
     operand's order, then its left operand's own, then its right's.  Every
     product the engine takes is formed here; :func:`eliminate` counts it.
@@ -197,23 +194,20 @@ def multiply(
     # The operands' entries multiplied bound the joint, so below EINSUM_TO
     # the size map is not needed: einsum refuses two sizes of a variable itself.
     bound = 1
-    if isinstance(sum_out, tuple):
-        last, held = {}, dict.fromkeys(sum_out, 0)
-        for k, f in enumerate(factors):
-            for u in f.scope:
-                if u in held:
-                    held[u] += 1
-                    last[u] = k
-            bound *= f.values.size
-        for u, n in held.items():
-            if n < 2:
-                raise ValueError(f"variable {u} in fewer than two scopes {[f.scope for f in factors]}")
-    else:
+    for f in factors:
+        bound *= f.values.size
+    last = {}  # each summed variable's last holder
+    for u in sum_out:
+        # A plain counter: enumerate's pairs cost a light call about 0.1 us
+        # more on a 2-core VM.
+        k = holders = 0
         for f in factors:
-            if sum_out is not None and sum_out not in f.scope:
-                raise ValueError(f"variable {sum_out} not in every scope {[f.scope for f in factors]}")
-            bound *= f.values.size
-        last = {} if sum_out is None else {sum_out: len(factors) - 1}
+            if u in f.scope:
+                holders += 1
+                last[u] = k
+            k += 1
+        if holders < 2:
+            raise ValueError(f"variable {u} in fewer than two scopes {[f.scope for f in factors]}")
     chain = _chain(factors, last)
     if bound >= EINSUM_TO and math.prod(_sizes(factors).values()) >= EINSUM_TO:
         result = a
@@ -231,7 +225,7 @@ def multiply(
     return _einsum(factors, batch + a_own + b_own, last)
 
 
-def _sizes(factors: Sequence[Factor]) -> dict[int, int]:
+def _sizes(factors: Iterable[Factor]) -> dict[int, int]:
     """Each variable's size in ``factors``; two sizes of one raise ``ValueError``."""
     size: dict[int, int] = {}
     for f in factors:
@@ -422,15 +416,16 @@ def _plan(
     scopes: Sequence[tuple[int, ...]], size: dict[int, int], order: list[int], keep: Sequence[int]
 ) -> tuple:
     """Bucket elimination under ``order``, from ``scopes`` and ``size`` alone.
-    Factor ``k`` fills slot ``k``, the ``i``-th step's result slot
-    ``len(scopes) + i``; a table waits in the bucket of its earliest
-    variable in the order, or in a last bucket if it holds kept variables
-    only.  One step per bucket: its variable (``None`` for the last), its
-    operands' slots in arrival order, each binary product's joint entries,
-    and its result's entries.  Also returns the multiplications (the joints'
-    sum), the peak (the largest joint or result) and each slot's scope but
-    the last step's result, for :func:`_merge`, which may then contract
-    nested buckets together in steps of the same form."""
+    Factor ``k`` fills slot ``k``; a table waits in the bucket of its
+    earliest variable in the order, or in a last bucket if it holds kept
+    variables only.  One step per bucket, in execution order, keyed by the
+    slot its result fills, ``len(scopes) + i`` for the ``i``-th: the
+    variables it sums, ``(v,)`` for the bucket of ``v`` and ``()`` for the
+    last, its operands' slots in arrival order, each binary product's joint
+    entries, and its result's entries.  Also returns the multiplications
+    (the joints' sum), the peak (the largest joint or result) and each
+    slot's scope but the last step's result, for :func:`_merge`, which may
+    then contract nested buckets together in steps of the same form."""
     last = len(order)
     position = dict.fromkeys(keep, last)
     position.update(zip(order, range(last)))
@@ -443,7 +438,7 @@ def _plan(
 
     for scope in scopes:
         place(scope)
-    steps = []
+    steps = {}
     multiplications = peak = 0
     for i, slots in enumerate(buckets):
         joint = set(placed[slots[0]])
@@ -455,79 +450,72 @@ def _plan(
                     joint.add(u)
                     entries *= size[u]
             joints.append(entries)
-        v = order[i] if i < last else None
-        if v is not None:
-            joint.discard(v)
-            entries //= size[v]
+        summed = (order[i],) if i < last else ()
+        key = len(placed)  # the slot its result fills
+        if summed:
+            joint.discard(order[i])
+            entries //= size[order[i]]
             place(joint)
         multiplications += sum(joints)
         peak = max(peak, entries, *joints)
-        steps.append((v, slots, joints, entries))
+        steps[key] = (summed, slots, joints, entries)
     return steps, multiplications, peak, placed
 
 
-def _merge(steps: list, placed: Sequence[Iterable[int]], size: dict[int, int], n: int) -> list:
-    """:func:`_plan`'s ``steps`` over ``n`` input tables, whose slots have the
-    scopes ``placed``, with nested buckets contracted together, as SPI's
-    set-factoring (Li & D'Ambrosio 1994) and bucket elimination's clusters
-    (Dechter 1999) do.  A step whose joint lies inside the joint of the
-    step that produced one of its tables is merged into that step: the
-    producer's tables and the step's others form one step, planned by
-    :func:`_contraction`, whose variables are a tuple.  Merges nest, a step
+def _merge(steps: dict, placed: Sequence[Iterable[int]], size: dict[int, int]) -> dict:
+    """:func:`_plan`'s ``steps``, whose slots have the scopes ``placed``,
+    with nested buckets contracted together, as SPI's set-factoring (Li &
+    D'Ambrosio 1994) and bucket elimination's clusters (Dechter 1999) do.
+    A step whose joint lies inside the joint of the step that produced one
+    of its tables is merged into that step: the producer's tables and the
+    step's others form one step under the step's key, planned by
+    :func:`_contraction`, and the producer's step goes.  Merges nest, a step
     takes the producer whose merge saves the most, and a merge is kept only
     when it plans fewer multiplications than the two steps apart.  Every
     product of a merged step lies inside a table the plan already counted,
     the producer's joint or, for a lone table, its result, so the peak
-    never rises.  Slots are numbered afresh: each marginalization a merged
-    step needs first is a step of its own, over one table, before it."""
+    never rises.  Each marginalization a merged step needs first is a step
+    of its own, over one table, under a key no step has, just before it."""
     # Each merged step's tables' slots, variables, multiplications and
-    # contraction, by its place in ``steps``; and the steps merged into one.
+    # contraction, by its key; and the keys of the steps merged into one.
     merged: dict[int, tuple] = {}
     absorbed: set[int] = set()
-    for i, (v, slots, joints, _) in enumerate(steps):
+    for key, (summed, slots, joints, _) in steps.items():
         own, saving = sum(joints), 0
         for slot in slots:
-            p = slot - n
-            # A joint holding the result of step p lies inside p's joint only
-            # if it is that result, p's own variables being summed out.
-            if p < 0 or joints and joints[-1] != steps[p][3]:
+            # A joint holding the result of step ``slot`` lies inside that
+            # step's joint only if it is that result, its variables being
+            # summed out.  An input table has no step.
+            if slot not in steps or joints and joints[-1] != steps[slot][3]:
                 continue
-            tables, both, cost, _ = merged.get(p) or (steps[p][1], [steps[p][0]], sum(steps[p][2]), None)
+            tables, both, cost, _ = merged.get(slot) or (steps[slot][1], steps[slot][0], sum(steps[slot][2]), None)
             tables = tables + [s for s in slots if s != slot]
-            both = both if v is None else both + [v]
-            contraction = _contraction([placed[s] for s in tables], both, size)
+            contraction = _contraction([placed[s] for s in tables], both + summed, size)
             gain = cost + own - sum(contraction[3])
             if gain > saving:
-                saving, best = gain, (p, (tables, both, cost + own - gain, contraction))
+                saving, best = gain, (slot, (tables, both + summed, cost + own - gain, contraction))
         if saving:
             absorbed.add(best[0])
-            merged[i] = best[1]
-    if not merged:
-        return steps
+            merged[key] = best[1]
 
-    # The steps before the first one merged away keep their slots.
-    first = min(absorbed)
-    slot_of = list(range(n + first))  # each slot's number in the merged plan
-    merged_steps = steps[:first]
-    for i in range(first, len(steps)):
-        if i in absorbed:
-            slot_of.append(None)
+    fresh = itertools.count(len(placed) + 1)  # past every key, the last step's included
+    merged_steps = {}
+    for key, step in steps.items():
+        if key in absorbed:
             continue
-        if i in merged:
-            tables, _, _, (marginals, order, summed, joints, entries) = merged[i]
-            operands = list(map(slot_of.__getitem__, tables))
+        if key in merged:
+            tables, _, _, (marginals, order, summed, joints, entries) = merged[key]
+            operands = list(tables)
             for k, u, marginal in marginals:
-                merged_steps.append((u, [operands[k]], [], marginal))
-                operands[k] = n + len(merged_steps) - 1
-            merged_steps.append((summed, [operands[k] for k in order], joints, entries))
-        else:
-            v, slots, joints, entries = steps[i]
-            merged_steps.append((v, list(map(slot_of.__getitem__, slots)), joints, entries))
-        slot_of.append(n + len(merged_steps) - 1)
+                marginalized = next(fresh)
+                merged_steps[marginalized] = ((u,), [operands[k]], [], marginal)
+                operands[k] = marginalized
+            step = (summed, [operands[k] for k in order], joints, entries)
+        merged_steps[key] = step
     return merged_steps
 
 
-def _contraction(scopes: Sequence[Iterable[int]], summed: list[int], size: dict[int, int]) -> tuple:
+def _contraction(scopes: Sequence[Iterable[int]], summed: Sequence[int], size: dict[int, int]) -> tuple:
     """One step over tables of ``scopes`` with ``summed`` summed out: a
     variable held by one table is marginalized out of it first, then the
     tables are multiplied smallest first, the earlier on a tie, each other
@@ -651,17 +639,18 @@ def eliminate(
     otherwise the whole order.  Then each step of two or more tables is one
     :func:`multiply` call over them, a bucket's in arrival order with its
     variable summed out inside it, merged buckets' smallest first with
-    their variables, and a lone table has its variable marginalized; the
-    last step's result is the answer.
+    their variables, and a lone table has its variable, if any,
+    marginalized.  A step takes its tables out of their slots and puts its
+    result in the slot it is keyed by; the last step's result is the answer.
     """
     if stats is None:
         stats = EliminationStats()
-    live = list(factors)
+    live = dict(enumerate(factors))  # slot k's table, dropped once a step takes it
     if not live:
         raise ValueError("eliminate needs at least one factor")
-    size = _sizes(live)
+    size = _sizes(live.values())
     var_index: dict[int, set[int]] = {}
-    for i, f in enumerate(live):
+    for i, f in live.items():
         for u in f.scope:
             var_index.setdefault(u, set()).add(i)
 
@@ -706,7 +695,7 @@ def eliminate(
         work.discard(i)
 
     eliminable = set(var_index) - set(keep)
-    scopes = [f.scope for f in live]
+    scopes = [f.scope for f in live.values()]
     order = _min_fill_order(scopes, size, eliminable)
     steps, multiplications, peak, placed = _plan(scopes, size, order, keep)
     if multiplications >= SEARCH_FROM:
@@ -715,17 +704,15 @@ def eliminate(
             other_plan = _plan(scopes, size, other, keep)
             if other_plan[1] < multiplications and other_plan[2] <= peak:
                 order, (steps, _, _, placed) = other, other_plan
-        steps = _merge(steps, placed, size, len(scopes))
+        steps = _merge(steps, placed, size)
 
     def aborted(message: str, charged: int) -> GuardExceededError:
         # The order's variables that the first ``charged`` steps sum out.
-        done = set()
-        for sum_out, _, _, _ in steps[:charged]:
-            done.update(sum_out if isinstance(sum_out, tuple) else [sum_out])
+        done = {u for summed, *_ in itertools.islice(steps.values(), charged) for u in summed}
         stats.ordering += [u for u in order if u in done]
         return GuardExceededError(message, stats)
 
-    for k, (_, _, joints, entries) in enumerate(steps):
+    for k, (_, _, joints, entries) in enumerate(steps.values()):
         for joint in joints:
             if max_table_entries is not None and joint > max_table_entries:
                 raise aborted(f"intermediate table of {joint} entries exceeds the guard", k)
@@ -737,18 +724,14 @@ def eliminate(
         stats.peak_table_entries = max(stats.peak_table_entries, entries)
     stats.ordering += order
 
-    tables: list[Factor | None] = live  # slot k's table, freed once used
-    for sum_out, slots, _, _ in steps:
+    for key, (summed, slots, _, _) in steps.items():
         if len(slots) > 1:
-            result = multiply(*map(tables.__getitem__, slots), sum_out=sum_out)
-        elif sum_out is not None:
-            result = marginalize(tables[slots[0]], sum_out)
+            live[key] = multiply(*map(live.pop, slots), sum_out=summed)
+        elif summed:
+            live[key] = marginalize(live.pop(slots[0]), *summed)
         else:
-            result = tables[slots[0]]
-        for slot in slots:
-            tables[slot] = None
-        tables.append(result)
-    return align(tables[-1], keep)
+            live[key] = live.pop(slots[0])
+    return align(live[key], keep)
 
 
 def _relevant_ancestors(net: ExpandedNetwork, query: Query) -> set[int]:

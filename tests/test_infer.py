@@ -43,13 +43,12 @@ from helpers import fixed_order, noisy_or_network, random_network, random_noisym
 ALL_STRATEGIES = list(Strategy)
 
 
-def chain_joints(factors, sum_out=None):
+def chain_joints(factors, sum_out=()):
     """The joint entries of each binary product in a left-to-right chain over
-    ``factors``, the sizes the plan charges for their step.  A variable of a
-    tuple ``sum_out`` leaves the chain after the product that takes the last
-    factor holding it; a lone variable is summed in the last product."""
-    summed = sum_out if isinstance(sum_out, tuple) else ()
-    last = {u: k for k, f in enumerate(factors) for u in f.scope if u in summed}
+    ``factors``, the sizes the plan charges for their step.  A variable of
+    ``sum_out`` leaves the chain after the product that takes the last factor
+    holding it."""
+    last = {u: k for k, f in enumerate(factors) for u in f.scope if u in sum_out}
     size = dict(zip(factors[0].scope, factors[0].values.shape))
     joints = []
     for k, f in enumerate(factors[1:], 1):
@@ -150,10 +149,10 @@ class TestMultiply:
             return Factor(scope, rng.normal(size=[size[u] for u in scope]))
 
         a, b = factor(a_scope), factor(b_scope)
-        sum_out = v if summed else None
+        sum_out = (v,) if summed else ()
         out = multiply(a, b, sum_out=sum_out)
         # Shared variables in the right operand's order.
-        shared = [u for u in b.scope if u in a.scope and u != sum_out]
+        shared = [u for u in b.scope if u in a.scope and u not in sum_out]
         a_own = [u for u in a.scope if u not in b.scope]
         b_own = [u for u in b.scope if u not in a.scope]
         assert out.scope == tuple(shared + a_own + b_own)
@@ -188,7 +187,7 @@ class TestMultiply:
         a = Factor(tuple(a_scope), rng.random([sizes[u] for u in a_scope]))
         b = Factor(tuple(b_scope), rng.random([sizes[u] for u in b_scope]))
         shared = [u for u in a_scope if u in b_scope]
-        sum_out = shared[summed] if 0 <= summed < len(shared) else None
+        sum_out = (shared[summed],) if 0 <= summed < len(shared) else ()
         matmul, slices = np.matmul, []
 
         def recording(*args, **kwargs):
@@ -208,7 +207,7 @@ class TestMultiply:
         assert got.scope == want.scope
         np.testing.assert_allclose(got.values, want.values, rtol=1e-15, atol=0)
         # The batch follows the right operand.
-        batch = [u for u in b_scope if u in shared and u != sum_out]
+        batch = [u for u in b_scope if u in shared and u not in sum_out]
         if batch:
             # One matmul per state of the first batch variable, dealt
             # round-robin; the calling thread takes slices 0, w, 2w, ...
@@ -259,12 +258,13 @@ class TestMultiply:
         # an absolute 1e-12 is a tight test of at most 3**6 such terms.
         rng = np.random.default_rng(seed)
         n = len(sizes)
-        sum_out = int(rng.integers(n)) if summed else None
+        sum_out = (int(rng.integers(n)),) if summed else ()
         factors = []
         for _ in range(count):
             scope = [int(u) for u in rng.permutation(n)[: rng.integers(n + 1)]]
-            if sum_out is not None and sum_out not in scope:
-                scope.insert(int(rng.integers(len(scope) + 1)), sum_out)
+            for u in sum_out:
+                if u not in scope:
+                    scope.insert(int(rng.integers(len(scope) + 1)), u)
             shape = [sizes[u] for u in scope]
             values = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.95, 1.05, shape)
             factors.append(Factor(tuple(scope), values))
@@ -306,6 +306,11 @@ class TestMultiply:
         scopes=[[0, 1], [1, 2], [0, 3, 4]], sizes=[4, 4, 4, 4, 4, 2, 2],
         summed=[1, 0], path="default", seed=1,
     )
+    # A variable held by two of three operands, which share a scope.
+    @example(
+        scopes=[[0, 1], [0, 1], [1]], sizes=[2, 3, 2, 2, 2, 2, 2],
+        summed=[0], path="default", seed=2,
+    )
     def test_tuple_sum_matches_einsum(self, scopes, sizes, summed, path, seed):
         # Nested buckets contracted together: each variable of the tuple is
         # held by two or more operands and summed in the product that takes
@@ -342,25 +347,23 @@ class TestMultiply:
         np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("einsum_to", [0, 2**10])
-    @pytest.mark.parametrize("sum_out", [(0,), (1, 2), (3,)])
-    def test_tuple_sum_out_in_fewer_than_two_operands(self, sum_out, einsum_to, monkeypatch):
-        # 0 is held by a alone, 3 by no operand; 1 by both.
+    @pytest.mark.parametrize(
+        "scopes, sum_out",
+        [
+            ([(0, 1), (1, 2)], (0,)),  # 0 held by the left alone; 1 by both
+            ([(0, 1), (1, 2)], (1, 2)),  # 2 by the right alone
+            ([(0, 1), (1, 2)], (3,)),  # 3 by neither
+            ([(0,), (1,)], (2,)),
+            ([(0, 1), (1,)], (0,)),
+            ([(1,), (0, 1)], (0,)),
+        ],
+    )
+    def test_tuple_sum_out_in_fewer_than_two_operands(self, scopes, sum_out, einsum_to, monkeypatch):
         monkeypatch.setattr(infer, "EINSUM_TO", einsum_to)
-        a = Factor((0, 1), np.ones((2, 3)))
-        b = Factor((1, 2), np.ones((3, 2)))
+        size = {0: 2, 1: 3, 2: 2}
+        factors = [Factor(sc, np.ones([size[u] for u in sc])) for sc in scopes]
         with pytest.raises(ValueError, match="in fewer than two scopes"):
-            multiply(a, b, sum_out=sum_out)
-
-    def test_sum_out_in_neither_operand(self):
-        with pytest.raises(ValueError, match="not in every"):
-            multiply(Factor((0,), [1.0, 2.0]), Factor((1,), [1.0, 2.0]), sum_out=2)
-
-    def test_sum_out_in_one_operand(self):
-        a = Factor((0, 1), np.ones((2, 3)))
-        b = Factor((1,), [1.0, 2.0, 3.0])
-        for factors in ((a, b), (b, a), (a, a, b)):
-            with pytest.raises(ValueError, match="not in every"):
-                multiply(*factors, sum_out=0)
+            multiply(*factors, sum_out=sum_out)
 
     def test_fused_bucket_never_allocates_the_joint(self):
         # Buckets (v, x1..x10) and (v, y1..y10): their joint has 2**21
@@ -645,7 +648,7 @@ class TestOrderSearch:
         joints, sums, calls = [], [], []
         real_multiply, real_marginalize = infer.multiply, infer.marginalize
 
-        def recording(*factors, sum_out=None):
+        def recording(*factors, sum_out=()):
             calls.append(len(factors))
             joints.extend(chain_joints(factors))
             return real_multiply(*factors, sum_out=sum_out)
@@ -663,9 +666,9 @@ class TestOrderSearch:
         size = {u: n for f in factors for u, n in zip(f.scope, f.values.shape)}
         scopes = [f.scope for f in factors]
         steps, multiplications, peak, _ = infer._plan(scopes, size, list(order), keep)
-        assert joints == [joint for _, _, planned, _ in steps for joint in planned]
+        assert joints == [joint for _, _, planned, _ in steps.values() for joint in planned]
         # One call per bucket of two or more tables, taking all of them.
-        assert calls == [len(slots) for _, slots, _, _ in steps if len(slots) > 1]
+        assert calls == [len(slots) for _, slots, _, _ in steps.values() if len(slots) > 1]
         counts = (sum(joints), max(joints + sums + [result.size]))
         assert (stats.multiplications, stats.peak_table_entries) == counts
         assert (multiplications, peak) == counts
@@ -713,7 +716,7 @@ class TestOrderSearch:
         monkeypatch.setattr(infer, "SEARCH_FROM", 0)
         calls, real_multiply = [], infer.multiply
 
-        def recording(*tables, sum_out=None):
+        def recording(*tables, sum_out=()):
             calls.append(([f.scope for f in tables], sum_out))
             return real_multiply(*tables, sum_out=sum_out)
 
@@ -726,9 +729,11 @@ class TestOrderSearch:
         assert stats.ordering == [0, 1]
         np.testing.assert_array_equal(got.values, np.full((2, 2, 2), 4.0))
         steps, _, _, placed = infer._plan([f.scope for f in factors], {u: 2 for u in range(5)}, [0, 1], keep)
-        assert steps == [(0, [0, 1], [32], 16), (1, [2, 3], [16], 8), (None, [4], [], 8)]
-        steps = infer._merge(steps, placed, {u: 2 for u in range(5)}, 3)
-        assert steps == [((0, 1), [1, 2, 0], [4, 32], 8), (None, [3], [], 8)]
+        assert list(steps.items()) == [
+            (3, ((0,), [0, 1], [32], 16)), (4, ((1,), [2, 3], [16], 8)), (5, ((), [4], [], 8))
+        ]
+        steps = infer._merge(steps, placed, {u: 2 for u in range(5)})
+        assert list(steps.items()) == [(4, ((0, 1), [1, 2, 0], [4, 32], 8)), (5, ((), [4], [], 8))]
 
     def test_lone_table_is_marginalized_before_its_merged_step(self, monkeypatch):
         # Bucket 0 is (0..3) alone; its result over 1..3 joins (1, 2, 3),
@@ -744,9 +749,12 @@ class TestOrderSearch:
         keep = (2, 3)
         size = {u: 2 for u in range(4)}
         steps, _, _, placed = infer._plan([f.scope for f in factors], size, [0, 1], keep)
-        assert steps == [(0, [0], [], 8), (1, [1, 2, 3, 4], [8, 8, 8], 4), (None, [5], [], 4)]
-        assert infer._merge(steps, placed, size, 4) == [
-            (0, [0], [], 8), ((1,), [3, 2, 4, 1], [4, 8, 8], 4), (None, [5], [], 4)
+        assert list(steps.items()) == [
+            (4, ((0,), [0], [], 8)), (5, ((1,), [1, 2, 3, 4], [8, 8, 8], 4)), (6, ((), [5], [], 4))
+        ]
+        # The marginalization's key is one no step has.
+        assert list(infer._merge(steps, placed, size).items()) == [
+            (7, ((0,), [0], [], 8)), (5, ((1,), [3, 2, 7, 1], [4, 8, 8], 4)), (6, ((), [5], [], 4))
         ]
         monkeypatch.setattr(infer, "SEARCH_FROM", 0)
         stats = EliminationStats()
@@ -754,6 +762,36 @@ class TestOrderSearch:
             got = eliminate(factors, keep, stats=stats)
         assert (stats.multiplications, stats.peak_table_entries) == (20, 8)
         want = np.einsum("abcd,bcd,bc,b->cd", *(f.values for f in factors))
+        np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
+
+    def test_merged_step_absorbed_in_turn_leaves_no_marginalization(self, monkeypatch):
+        # Bucket 3 holds (2, 3, 1, 0) and (3,); buckets 2 and 1 then each
+        # sum one variable out of the result alone.  Bucket 2 merges bucket
+        # 3, summing 2 out of the large table first, and bucket 1 merges
+        # that step in turn: only its own marginalizations, of 2 then 1,
+        # are left, and (3,) times their result takes 4 multiplications.
+        rng = np.random.default_rng(4)
+        factors = [
+            Factor((2, 3, 1, 0), rng.uniform(0.5, 1.5, (2,) * 4)),
+            Factor((3,), rng.uniform(0.5, 1.5, 2)),
+        ]
+        keep = (0,)
+        size = {u: 2 for u in range(4)}
+        steps, _, _, placed = infer._plan([f.scope for f in factors], size, [3, 2, 1], keep)
+        assert list(steps.items()) == [
+            (2, ((3,), [0, 1], [16], 8)), (3, ((2,), [2], [], 4)),
+            (4, ((1,), [3], [], 2)), (5, ((), [4], [], 2)),
+        ]
+        assert list(infer._merge(steps, placed, size).items()) == [
+            (6, ((2,), [0], [], 8)), (7, ((1,), [6], [], 4)),
+            (4, ((3,), [1, 7], [4], 2)), (5, ((), [4], [], 2)),
+        ]
+        monkeypatch.setattr(infer, "SEARCH_FROM", 0)
+        stats = EliminationStats()
+        with fixed_order([3, 2, 1]):
+            got = eliminate(factors, keep, stats=stats)
+        assert (stats.multiplications, stats.peak_table_entries) == (4, 8)
+        want = np.einsum("cdba,d->a", *(f.values for f in factors))
         np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
 
     @staticmethod
@@ -773,13 +811,13 @@ class TestOrderSearch:
             plans.append((steps, real_merge(steps, *args)))
             return plans[-1][1]
 
-        def recording(*factors, sum_out=None):
+        def recording(*factors, sum_out=()):
             calls.append(chain_joints(factors, sum_out))
             return real_multiply(*factors, sum_out=sum_out)
 
         def counts(steps):
-            joints = [joint for _, _, planned, _ in steps for joint in planned]
-            return sum(joints), max(joints + [entries for *_, entries in steps])
+            joints = [joint for _, _, planned, _ in steps.values() for joint in planned]
+            return sum(joints), max(joints + [entries for *_, entries in steps.values()])
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(infer, "SEARCH_FROM", 0)
@@ -791,11 +829,20 @@ class TestOrderSearch:
             # One multiply call per step of two or more tables, its chain
             # having the step's joints; no more multiplications, and no
             # higher peak, than the bucket plan of the same order.
-            assert calls == [joints for _, slots, joints, _ in merged if len(slots) > 1]
+            assert calls == [joints for _, slots, joints, _ in merged.values() if len(slots) > 1]
             multiplications, peak = counts(merged)
             assert (stats.multiplications, stats.peak_table_entries) == (multiplications, peak)
             assert multiplications <= counts(planned)[0] and peak <= counts(planned)[1]
-            merges = sum(isinstance(sum_out, tuple) for sum_out, *_ in merged)
+            # Each operand slot is an input (the first step's key counts
+            # them) or an earlier key, each is taken exactly once, and the
+            # last key, the last bucket's, holds the answer.
+            inputs, keys = min(planned), list(merged)
+            for k, (_, slots, _, _) in enumerate(merged.values()):
+                assert all(s < inputs or s in keys[:k] for s in slots)
+            taken = [s for _, slots, _, _ in merged.values() for s in slots]
+            assert sorted(taken) == sorted([*range(inputs), *keys[:-1]])
+            assert keys[-1] == max(planned) and merged[keys[-1]][3] == posterior.values.size
+            merges = len(planned.keys() - merged.keys())  # result slots absorbed
             if not multiplications:
                 return merges
             # An abort forms no table and carries the order's variables whose
@@ -805,11 +852,11 @@ class TestOrderSearch:
                 query_posterior(expanded, query, max_multiplications=multiplications - 1)
         assert calls == []
         charged, done = 0, set()
-        for sum_out, _, joints, _ in merged:
+        for summed, _, joints, _ in merged.values():
             if charged + sum(joints) >= multiplications:
                 break
             charged += sum(joints)
-            done.update(sum_out if isinstance(sum_out, tuple) else [sum_out])
+            done.update(summed)
         assert charged <= abort.value.stats.multiplications < multiplications
         assert abort.value.stats.ordering == [u for u in stats.ordering if u in done]
         return merges
@@ -1104,7 +1151,7 @@ class TestQueryPosterior:
         joints = []
         real_multiply = infer.multiply
 
-        def recording(*factors, sum_out=None):
+        def recording(*factors, sum_out=()):
             out = real_multiply(*factors, sum_out=sum_out)
             joints.extend(chain_joints(factors))
             return out
